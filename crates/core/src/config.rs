@@ -174,6 +174,27 @@ mod tests {
     }
 
     #[test]
+    fn deserialized_config_rejects_invalid_trace_samples() {
+        use crate::{CoordinationMode, Scenario, SystemKind};
+        let cfg = Scenario::paper(
+            SystemKind::ServerB,
+            nps_traces::Mix::L60,
+            CoordinationMode::Coordinated,
+        )
+        .horizon(50)
+        .build();
+        let json = serde_json::to_string(&cfg).unwrap();
+        let traces = json.find("\"traces\":[").unwrap();
+        let first = traces + json[traces..].find("\"samples\":[").unwrap() + "\"samples\":[".len();
+        let end = first + json[first..].find(',').unwrap();
+        for bad in ["null", "1.5", "-0.25"] {
+            let tampered = format!("{}{bad}{}", &json[..first], &json[end..]);
+            let err = serde_json::from_str::<ExperimentConfig>(&tampered).unwrap_err();
+            assert!(err.to_string().contains("sample 0 ="), "{bad}: {err}");
+        }
+    }
+
+    #[test]
     fn policy_names_are_distinct() {
         let mut names: Vec<&str> = PolicyKind::ALL.iter().map(|p| p.name()).collect();
         names.sort();

@@ -1536,11 +1536,7 @@ impl Runner {
     /// reproduces the uninterrupted run bit for bit.
     pub fn restore(&mut self, snap: &RunnerSnapshot) -> Result<(), CoreError> {
         if snap.version != RunnerSnapshot::VERSION {
-            return Err(CoreError::Checkpoint(format!(
-                "format version {} (this build reads {})",
-                snap.version,
-                RunnerSnapshot::VERSION
-            )));
+            return Err(RunnerSnapshot::version_mismatch(snap.version.into()));
         }
         if snap.label != self.label {
             return Err(CoreError::Checkpoint(format!(
@@ -1559,8 +1555,13 @@ impl Runner {
                 "checkpoint sizes do not match this configuration".to_string(),
             ));
         }
+        // First mutation, and fallible: the simulator decodes its event
+        // words before assigning anything, so a malformed log leaves the
+        // whole runner untouched.
+        self.sim
+            .restore(&snap.sim)
+            .map_err(|e| CoreError::Checkpoint(e.to_string()))?;
         self.ticks_done = snap.ticks_done;
-        self.sim.restore(&snap.sim);
         self.injector.restore(&snap.injector);
         self.bus.restore(&snap.bus);
         self.bank.restore(&snap.bank);
@@ -3644,8 +3645,10 @@ impl RunnerSnapshot {
     /// version 4 added warm-standby replica state (terms, heartbeat
     /// counters, shadows, in-flight syncs), the redundancy and
     /// safety-invariant counter blocks, and the per-link message-loss
-    /// counter layout in the injector snapshot.
-    pub const VERSION: u32 = 4;
+    /// counter layout in the injector snapshot; version 5 stores the
+    /// simulator's event ring as flat `[tick, tag, args…]` words
+    /// ([`nps_sim::EventLogSnapshot`]).
+    pub const VERSION: u32 = 5;
 
     /// Writes the checkpoint to `path` as JSON, atomically: the bytes go
     /// to a sibling temp file first and are renamed into place, so a
@@ -3679,9 +3682,34 @@ impl RunnerSnapshot {
     }
 
     /// Reads a checkpoint previously written by [`RunnerSnapshot::save`].
+    ///
+    /// The format version is checked before the layout is mapped, so a
+    /// checkpoint from another version fails with the same
+    /// [`CoreError::Checkpoint`] that [`Runner::restore`] reports instead
+    /// of a field-mapping error. Content errors come back as
+    /// [`std::io::ErrorKind::InvalidData`] wrapping a [`CoreError`].
     pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        let file = std::fs::File::open(path)?;
-        serde_json::from_reader(std::io::BufReader::new(file)).map_err(std::io::Error::other)
+        let invalid = |e: CoreError| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
+        let unreadable = |why: String| invalid(CoreError::Checkpoint(why));
+        let text = std::fs::read_to_string(path)?;
+        let value = serde::parse(&text).map_err(|e| unreadable(e.to_string()))?;
+        let version = value
+            .as_object()
+            .and_then(|fields| fields.iter().find(|(k, _)| k == "version"))
+            .and_then(|(_, v)| v.as_u64());
+        match version {
+            Some(v) if v == u64::from(Self::VERSION) => {}
+            Some(v) => return Err(invalid(Self::version_mismatch(v))),
+            None => return Err(unreadable("no format version".to_string())),
+        }
+        <Self as serde::Deserialize>::deserialize(&value).map_err(|e| unreadable(e.to_string()))
+    }
+
+    fn version_mismatch(found: u64) -> CoreError {
+        CoreError::Checkpoint(format!(
+            "format version {found} (this build reads {})",
+            Self::VERSION
+        ))
     }
 }
 

@@ -7,7 +7,7 @@ use nps_traces::UtilTrace;
 
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::events::{Event, EventLog};
+use crate::events::{Event, EventLog, EventLogError, EventLogSnapshot};
 use crate::ids::{EnclosureId, ServerId, VmId};
 use crate::placement::Placement;
 use crate::reduce;
@@ -908,14 +908,25 @@ impl Simulation {
             pstate_conflicts: self.pstate_conflicts,
             migrations_started: self.migrations_started,
             thermal: self.thermal.clone(),
-            events: self.events.clone(),
+            events: self.events.snapshot(),
         }
     }
 
     /// Restores state captured by [`Simulation::snapshot`]. The target
     /// must have been built from the same topology, models, traces, and
     /// config.
-    pub fn restore(&mut self, snap: &SimSnapshot) {
+    ///
+    /// The event log is checked against this simulator's ring capacity
+    /// and decoded before anything is assigned, so a malformed log is an
+    /// error that leaves the simulator untouched.
+    pub fn restore(&mut self, snap: &SimSnapshot) -> Result<()> {
+        if snap.events.capacity != self.events.capacity() {
+            return Err(SimError::EventLog(EventLogError::CapacityMismatch {
+                checkpoint: snap.events.capacity,
+                expected: self.events.capacity(),
+            }));
+        }
+        let events = EventLog::from_snapshot(&snap.events).map_err(SimError::EventLog)?;
         self.placement = snap.placement.clone();
         self.residents = snap
             .residents
@@ -948,7 +959,8 @@ impl Simulation {
         self.pstate_conflicts = snap.pstate_conflicts;
         self.migrations_started = snap.migrations_started;
         self.thermal = snap.thermal.clone();
-        self.events = snap.events.clone();
+        self.events = events;
+        Ok(())
     }
 }
 
@@ -1147,8 +1159,8 @@ pub struct SimSnapshot {
     pub migrations_started: u64,
     /// Thermal state, if tracking is enabled.
     pub thermal: Option<ThermalState>,
-    /// The structured event log.
-    pub events: EventLog,
+    /// The structured event log as flat words.
+    pub events: EventLogSnapshot,
 }
 
 #[cfg(test)]
@@ -1431,7 +1443,7 @@ mod tests {
         let json = serde_json::to_string(&live.snapshot()).unwrap();
         let snap: SimSnapshot = serde_json::from_str(&json).unwrap();
         let mut resumed = small_sim(&[0.3, 0.6, 0.9]);
-        resumed.restore(&snap);
+        resumed.restore(&snap).unwrap();
         assert_eq!(resumed.now(), live.now());
         for _ in 0..20 {
             live.step();

@@ -1,5 +1,6 @@
 use std::fmt;
 
+use crate::events::EventLogError;
 use crate::ids::{ServerId, VmId};
 
 /// Errors produced by the simulator.
@@ -37,6 +38,8 @@ pub enum SimError {
         /// Servers in the topology.
         servers: usize,
     },
+    /// A checkpointed event log could not be decoded.
+    EventLog(EventLogError),
 }
 
 impl fmt::Display for SimError {
@@ -63,6 +66,7 @@ impl fmt::Display for SimError {
                 f,
                 "{models} server models provided for a topology of {servers} servers"
             ),
+            SimError::EventLog(e) => write!(f, "malformed checkpoint event log: {e}"),
         }
     }
 }

@@ -65,7 +65,7 @@ pub use engine::{
     ActuatorShard, ShardEffects, SimEpochView, SimSnapshot, Simulation, VmObservation, VmView,
 };
 pub use error::SimError;
-pub use events::{Event, EventLog, LoggedEvent};
+pub use events::{Event, EventLog, EventLogError, EventLogSnapshot, LoggedEvent};
 pub use faults::{
     ActuatorDrawShard, ActuatorFaultSpec, ControllerLayer, FaultInjector, FaultPlan,
     InjectorSnapshot, OutageWindow, Reading, SensorChannel, SensorDrawShard, SensorFaultSpec,

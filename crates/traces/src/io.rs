@@ -21,17 +21,11 @@ pub fn save_json(corpus: &Corpus, path: impl AsRef<Path>) -> Result<()> {
 }
 
 /// Loads a corpus previously written by [`save_json`] (or hand-authored in
-/// the same format). Samples are re-validated on load.
+/// the same format). Samples are validated on load: [`UtilTrace`]'s
+/// deserializer goes through [`UtilTrace::new`].
 pub fn load_json(path: impl AsRef<Path>) -> Result<Corpus> {
     let file = File::open(path)?;
-    let reader = BufReader::new(file);
-    let raw: Vec<UtilTrace> = serde_json::from_reader(reader)?;
-    // Re-validate through the constructor so hand-edited files cannot
-    // smuggle out-of-range samples past the type.
-    let mut traces = Vec::with_capacity(raw.len());
-    for t in raw {
-        traces.push(UtilTrace::new(t.name().to_string(), t.samples().to_vec())?);
-    }
+    let traces: Vec<UtilTrace> = serde_json::from_reader(BufReader::new(file))?;
     Ok(Corpus::new(traces))
 }
 

@@ -6,6 +6,8 @@
 //! class-specific shapes (a remote-desktop farm follows office hours; a
 //! batch cluster runs at night; web front-ends are bursty).
 
+use std::sync::Arc;
+
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -193,29 +195,32 @@ pub fn generate<R: Rng>(
 ) -> UtilTrace {
     use std::f64::consts::TAU;
     let len = len.max(1);
-    let mut samples = Vec::with_capacity(len);
     let mut ar = 0.0_f64;
     let mut burst_left = 0usize;
     // Pre-scale AR(1) innovation so the process has stationary std
     // `noise_sigma`.
     let innov = spec.noise_sigma * (1.0 - spec.noise_rho * spec.noise_rho).sqrt();
-    for t in 0..len {
-        let day = TAU * t as f64 / spec.diurnal_period as f64 + spec.phase;
-        let week = TAU * t as f64 / (7.0 * spec.diurnal_period as f64);
-        let mut u = spec.mean_util
-            * (1.0 + spec.diurnal_amplitude * day.sin())
-            * (1.0 + spec.weekly_amplitude * week.sin());
-        ar = spec.noise_rho * ar + innov * gaussian(rng);
-        u += ar;
-        if burst_left > 0 {
-            burst_left -= 1;
-            u += spec.burst_magnitude;
-        } else if rng.gen::<f64>() < spec.burst_prob {
-            burst_left = spec.burst_len;
-            u += spec.burst_magnitude;
-        }
-        samples.push(u.clamp(0.0, 1.0));
-    }
+    // Collected straight into the shared buffer: an exact-size iterator
+    // fills the `Arc` without an intermediate `Vec` copy.
+    let samples: Arc<[f64]> = (0..len)
+        .map(|t| {
+            let day = TAU * t as f64 / spec.diurnal_period as f64 + spec.phase;
+            let week = TAU * t as f64 / (7.0 * spec.diurnal_period as f64);
+            let mut u = spec.mean_util
+                * (1.0 + spec.diurnal_amplitude * day.sin())
+                * (1.0 + spec.weekly_amplitude * week.sin());
+            ar = spec.noise_rho * ar + innov * gaussian(rng);
+            u += ar;
+            if burst_left > 0 {
+                burst_left -= 1;
+                u += spec.burst_magnitude;
+            } else if rng.gen::<f64>() < spec.burst_prob {
+                burst_left = spec.burst_len;
+                u += spec.burst_magnitude;
+            }
+            u.clamp(0.0, 1.0)
+        })
+        .collect();
     UtilTrace::new(name, samples).expect("generator clamps samples into [0, 1]")
 }
 

@@ -1,4 +1,6 @@
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
+
+use serde::{Deserialize, Serialize, Serializer, Value};
 
 use crate::error::TraceError;
 use crate::Result;
@@ -10,16 +12,21 @@ use crate::Result;
 /// Traces are *cyclic*: [`UtilTrace::demand_at`] wraps around, so a
 /// simulation horizon may exceed the trace length (the synthetic corpus
 /// generates a whole number of diurnal periods, so wrapping is seamless).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The samples are immutable once built and shared behind an [`Arc`]:
+/// cloning a trace (or a whole experiment configuration) copies a
+/// pointer, not the horizon-long sample array.
+#[derive(Debug, Clone, PartialEq)]
 pub struct UtilTrace {
     name: String,
-    samples: Vec<f64>,
+    samples: Arc<[f64]>,
 }
 
 impl UtilTrace {
     /// Builds a trace, validating every sample is finite and within
-    /// `[0, 1]`.
-    pub fn new(name: impl Into<String>, samples: Vec<f64>) -> Result<Self> {
+    /// `[0, 1]`. Takes a `Vec<f64>` or an already shared buffer.
+    pub fn new(name: impl Into<String>, samples: impl Into<Arc<[f64]>>) -> Result<Self> {
+        let samples = samples.into();
         if samples.is_empty() {
             return Err(TraceError::Empty);
         }
@@ -79,7 +86,7 @@ impl UtilTrace {
                 });
             }
         }
-        let samples = (0..len)
+        let samples: Arc<[f64]> = (0..len)
             .map(|i| parts.iter().map(|p| p.samples[i]).sum::<f64>().min(1.0))
             .collect();
         Self::new(name, samples)
@@ -87,7 +94,7 @@ impl UtilTrace {
 
     /// Returns a trace scaled by `factor`, clamping into `[0, 1]`.
     pub fn scaled(&self, factor: f64) -> Result<Self> {
-        let samples = self
+        let samples: Arc<[f64]> = self
             .samples
             .iter()
             .map(|s| (s * factor).clamp(0.0, 1.0))
@@ -102,7 +109,7 @@ impl UtilTrace {
 
     /// Summary statistics.
     pub fn stats(&self) -> TraceStats {
-        let mut sorted = self.samples.clone();
+        let mut sorted = self.samples.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("validated finite"));
         let n = sorted.len();
         let mean = self.mean();
@@ -116,6 +123,37 @@ impl UtilTrace {
             p50: pct(0.50),
             p95: pct(0.95),
         }
+    }
+}
+
+impl Serialize for UtilTrace {
+    fn serialize(&self, s: &mut Serializer) {
+        s.begin_object();
+        s.key("name");
+        self.name.serialize(s);
+        s.key("samples");
+        self.samples().serialize(s);
+        s.end_object();
+    }
+}
+
+/// Routed through [`UtilTrace::new`], so a trace read from JSON (a
+/// corpus file or an experiment configuration) is validated exactly
+/// like one built in code: no NaN, nothing outside `[0, 1]`.
+impl Deserialize for UtilTrace {
+    fn deserialize(v: &Value) -> std::result::Result<Self, serde::Error> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| serde::Error::msg("expected a trace object"))?;
+        let field = |name: &str| {
+            obj.iter()
+                .find(|(k, _)| k == name)
+                .map(|(_, v)| v)
+                .ok_or_else(|| serde::Error::msg(&format!("trace: missing field `{name}`")))
+        };
+        let name = String::deserialize(field("name")?)?;
+        let samples = Vec::<f64>::deserialize(field("samples")?)?;
+        Self::new(name, samples).map_err(|e| serde::Error::msg(&format!("trace: {e}")))
     }
 }
 
@@ -220,7 +258,28 @@ mod tests {
     fn serde_roundtrip() {
         let t = UtilTrace::new("t", vec![0.1, 0.9]).unwrap();
         let json = serde_json::to_string(&t).unwrap();
+        assert_eq!(json, r#"{"name":"t","samples":[0.1,0.9]}"#);
         let back: UtilTrace = serde_json::from_str(&json).unwrap();
         assert_eq!(t, back);
+    }
+
+    #[test]
+    fn deserialize_validates_samples() {
+        for bad in [
+            r#"{"name":"t","samples":[0.5,null]}"#,
+            r#"{"name":"t","samples":[0.5,1.5]}"#,
+            r#"{"name":"t","samples":[-0.25]}"#,
+            r#"{"name":"t","samples":[]}"#,
+            r#"{"name":"t"}"#,
+        ] {
+            assert!(serde_json::from_str::<UtilTrace>(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn clones_share_samples() {
+        let t = UtilTrace::constant("c", 0.4, 1_000).unwrap();
+        let u = t.clone();
+        assert!(std::ptr::eq(t.samples().as_ptr(), u.samples().as_ptr()));
     }
 }

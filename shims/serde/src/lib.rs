@@ -277,3 +277,66 @@ pub mod __private {
         T::deserialize(v)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::{parse, Serialize, Serializer, Value};
+
+    fn json<T: Serialize>(v: T) -> String {
+        let mut s = Serializer::new();
+        v.serialize(&mut s);
+        s.into_string()
+    }
+
+    #[test]
+    fn uint_output_matches_to_string() {
+        for n in [0, 9, 10, 99, 100, 4_096, u64::MAX - 1, u64::MAX] {
+            assert_eq!(json(n), n.to_string());
+        }
+        assert_eq!(json([0u64, 10, u64::MAX]), format!("[0,10,{}]", u64::MAX));
+    }
+
+    #[test]
+    fn float_output_matches_to_string() {
+        for f in [1.0, -0.0, 5e-324, 1e300, 0.1, -2.5, 1.0 / 3.0, f64::MAX] {
+            let mut want = f.to_string();
+            if !want.contains(['.', 'e', 'E']) {
+                want.push_str(".0");
+            }
+            assert_eq!(json(f), want, "{f:e}");
+            assert_eq!(
+                parse(&json(f)).unwrap().as_f64().unwrap().to_bits(),
+                f.to_bits()
+            );
+        }
+        assert_eq!(json(-0.0), "-0.0");
+        assert_eq!(json(f64::NAN), "null");
+        assert_eq!(json(-7i64), "-7");
+    }
+
+    #[test]
+    fn number_parsing_keeps_the_value_kinds() {
+        let cases = [
+            ("18446744073709551615", Value::UInt(u64::MAX)),
+            (
+                "18446744073709551616",
+                Value::Float(18_446_744_073_709_551_616.0),
+            ),
+            ("007", Value::UInt(7)),
+            ("0", Value::UInt(0)),
+            ("-0", Value::Int(0)),
+            ("-7", Value::Int(-7)),
+            ("1e3", Value::Float(1000.0)),
+            ("2.5", Value::Float(2.5)),
+            ("12E-1", Value::Float(1.2)),
+        ];
+        for (text, want) in cases {
+            assert_eq!(parse(text).unwrap(), want, "{text}");
+            let array = parse(&format!("[{text}, {text}]")).unwrap();
+            assert_eq!(array, Value::Array(vec![want.clone(), want]), "[{text}]");
+        }
+        for bad in ["1-2", "-", "1.2.3", "99999999999999999999x"] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+    }
+}

@@ -1,5 +1,8 @@
 //! The JSON writer behind [`crate::Serialize`].
 
+// Numbers are formatted straight into `out`, without a temporary String.
+use std::fmt::Write as _;
+
 /// Streams JSON text. Tracks container nesting so commas and (in pretty
 /// mode) indentation are inserted automatically; the derive-generated
 /// code only calls `begin_*`/`key`/scalar methods in order.
@@ -133,13 +136,13 @@ impl Serializer {
     /// Writes an unsigned integer.
     pub fn uint(&mut self, n: u64) {
         self.value_prelude();
-        self.out.push_str(&n.to_string());
+        write!(self.out, "{n}").expect("writing to a String cannot fail");
     }
 
     /// Writes a signed integer.
     pub fn int(&mut self, n: i64) {
         self.value_prelude();
-        self.out.push_str(&n.to_string());
+        write!(self.out, "{n}").expect("writing to a String cannot fail");
     }
 
     /// Writes a float. Rust's shortest-round-trip `Display` keeps values
@@ -148,12 +151,12 @@ impl Serializer {
     pub fn float(&mut self, f: f64) {
         self.value_prelude();
         if f.is_finite() {
-            let mut text = f.to_string();
+            let start = self.out.len();
+            write!(self.out, "{f}").expect("writing to a String cannot fail");
             // Keep a float-looking token so parsing stays type-faithful.
-            if !text.contains(['.', 'e', 'E']) {
-                text.push_str(".0");
+            if !self.out[start..].contains(['.', 'e', 'E']) {
+                self.out.push_str(".0");
             }
-            self.out.push_str(&text);
         } else {
             self.out.push_str("null");
         }

@@ -298,13 +298,22 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Value, Error> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
+        let digits_start = self.pos;
         let mut is_float = false;
+        // A plain integer's magnitude is built while scanning; `None` once
+        // it overflows a `u64`, which leaves the token to the float parser.
+        let mut magnitude = Some(0u64);
         while let Some(b) = self.peek() {
             match b {
-                b'0'..=b'9' => self.pos += 1,
+                b'0'..=b'9' => {
+                    magnitude =
+                        magnitude.and_then(|n| n.checked_mul(10)?.checked_add(u64::from(b - b'0')));
+                    self.pos += 1;
+                }
                 b'.' | b'e' | b'E' | b'+' | b'-' => {
                     is_float = true;
                     self.pos += 1;
@@ -312,19 +321,19 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::msg("invalid number"))?;
-        if !is_float {
-            if let Some(stripped) = text.strip_prefix('-') {
-                if let Ok(n) = stripped.parse::<u64>() {
+        if !is_float && self.pos > digits_start {
+            match magnitude {
+                Some(n) if !negative => return Ok(Value::UInt(n)),
+                Some(n) => {
                     if let Ok(i) = i64::try_from(n) {
                         return Ok(Value::Int(-i));
                     }
                 }
-            } else if let Ok(n) = text.parse::<u64>() {
-                return Ok(Value::UInt(n));
+                None => {}
             }
         }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| Error::msg("invalid number"))?;
         text.parse::<f64>()
             .map(Value::Float)
             .map_err(|_| Error::msg(&format!("invalid number {text:?}")))

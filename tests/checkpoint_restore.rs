@@ -273,3 +273,105 @@ fn checkpoint_emits_telemetry_markers() {
         "restore() must emit a Checkpoint{{restored:true}}"
     );
 }
+
+/// Canonical JSON of the runner's current state (no telemetry installed,
+/// so taking the snapshot has no side effect).
+fn state_json(runner: &mut Runner) -> String {
+    serde_json::to_string(&runner.snapshot()).expect("serializes")
+}
+
+#[test]
+fn malformed_event_words_are_rejected_without_touching_the_runner() {
+    let cfg = stressed_config();
+    let mut source = Runner::new(&cfg);
+    for _ in 0..150 {
+        source.tick();
+    }
+    let good = source.snapshot();
+    let mut bad_logs = Vec::new();
+    // An unknown tag, a lone trailing word, and (when the ring holds
+    // anything) an event cut short.
+    let mut unknown = good.clone();
+    unknown.sim.events.words.extend([7, 99, 1]);
+    bad_logs.push(unknown);
+    let mut lone = good.clone();
+    lone.sim.events.words.push(7);
+    bad_logs.push(lone);
+    if !good.sim.events.words.is_empty() {
+        let mut cut = good.clone();
+        cut.sim.events.words.pop();
+        bad_logs.push(cut);
+    }
+    // A ring capacity other than the simulator's, with counters edited to
+    // agree with it: capacity 0 would switch retention off, a larger one
+    // would let the ring outgrow the simulator's.
+    for capacity in [0, good.sim.events.capacity * 2] {
+        let mut resized = good.clone();
+        let events = &mut resized.sim.events;
+        events.capacity = capacity;
+        if capacity == 0 {
+            events.words.clear();
+            events.next = 0;
+        }
+        bad_logs.push(resized);
+    }
+
+    let mut target = Runner::new(&cfg);
+    for _ in 0..40 {
+        target.tick();
+    }
+    let before = state_json(&mut target);
+    for bad in &bad_logs {
+        let err = target.restore(bad).expect_err("malformed event words");
+        assert!(
+            matches!(err, no_power_struggles::core::CoreError::Checkpoint(_)),
+            "unexpected error: {err}"
+        );
+        assert_eq!(
+            state_json(&mut target),
+            before,
+            "a failed restore mutated the runner"
+        );
+    }
+    target
+        .restore(&good)
+        .expect("the intact checkpoint still restores");
+    assert_eq!(state_json(&mut target), state_json(&mut source));
+}
+
+#[test]
+fn load_reports_an_older_format_version_before_mapping_fields() {
+    let cfg = stressed_config();
+    let mut runner = Runner::new(&cfg);
+    for _ in 0..30 {
+        runner.tick();
+    }
+    let path = std::env::temp_dir().join(format!("nps-checkpoint-v4-{}.json", std::process::id()));
+    runner.snapshot().save(&path).expect("saves");
+    assert_eq!(
+        RunnerSnapshot::load(&path).expect("loads"),
+        runner.snapshot()
+    );
+
+    // A version-4 file: older version word, and an event ring in the old
+    // nested layout that the current field mapping cannot read.
+    let current = format!("\"version\":{}", RunnerSnapshot::VERSION);
+    let text = std::fs::read_to_string(&path).expect("reads");
+    assert!(text.starts_with(&format!("{{{current},")));
+    let v4 = text
+        .replacen(&current, "\"version\":4", 1)
+        .replacen("\"words\":[", "\"ring\":[", 1);
+    std::fs::write(&path, v4).expect("writes");
+    let err = RunnerSnapshot::load(&path).expect_err("version 4 is refused");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    let core = err
+        .get_ref()
+        .and_then(|e| e.downcast_ref::<no_power_struggles::core::CoreError>())
+        .expect("a typed checkpoint error");
+    assert!(
+        matches!(core, no_power_struggles::core::CoreError::Checkpoint(why)
+            if why == &format!("format version 4 (this build reads {})", RunnerSnapshot::VERSION)),
+        "unexpected error: {core}"
+    );
+}
