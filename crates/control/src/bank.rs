@@ -405,8 +405,25 @@ impl ControllerBank {
         }
     }
 
+    /// True if `snap` has this bank's shape: one entry per server in
+    /// every array. [`ControllerBank::restore`] replaces its arrays
+    /// wholesale, so a caller restoring untrusted state checks this first.
+    pub fn fits(&self, snap: &BankSnapshot) -> bool {
+        let n = self.len();
+        [
+            snap.freq_hz_bits.len(),
+            snap.applied_hz_bits.len(),
+            snap.r_ref_bits.len(),
+            snap.granted_cap_bits.len(),
+            snap.lease_until.len(),
+        ]
+        .iter()
+        .all(|&len| len == n)
+    }
+
     /// Restores state captured by [`ControllerBank::snapshot`]. The bank
-    /// must have been built over the same fleet.
+    /// must have been built over the same fleet (see
+    /// [`ControllerBank::fits`]).
     pub fn restore(&mut self, snap: &BankSnapshot) {
         let floats = |v: &[u64]| v.iter().map(|&b| f64::from_bits(b)).collect();
         self.freq_hz = floats(&snap.freq_hz_bits);

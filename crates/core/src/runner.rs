@@ -1544,12 +1544,38 @@ impl Runner {
                 snap.label, self.label
             )));
         }
-        let n = self.models.len();
-        if snap.sm_hold.len() != n
+        // Every array the restore below copies or zips must match this
+        // runner's shape exactly: a short one would leave a stale tail
+        // (a different state) or panic many ticks later.
+        let float_arrays = [
+            (&snap.snap_util_ec_bits, &self.snap_util_ec),
+            (&snap.snap_power_sm_bits, &self.snap_power_sm),
+            (&snap.snap_power_em_bits, &self.snap_power_em),
+            (&snap.snap_power_gm_bits, &self.snap_power_gm),
+            (&snap.snap_encpow_em_bits, &self.snap_encpow_em),
+            (&snap.snap_encpow_gm_bits, &self.snap_encpow_gm),
+            (&snap.cum_real_bits, &self.cum_real),
+            (&snap.cum_apparent_bits, &self.cum_apparent),
+            (&snap.snap_real_bits, &self.snap_real),
+            (&snap.snap_apparent_bits, &self.snap_apparent),
+            (&snap.win_max_real_bits, &self.win_max_real),
+            (&snap.win_max_apparent_bits, &self.win_max_apparent),
+            (&snap.last_util_ec_bits, &self.last_util_ec),
+            (&snap.last_power_sm_bits, &self.last_power_sm),
+            (&snap.last_encpow_em_bits, &self.last_encpow_em),
+            (&snap.last_child_gm_bits, &self.last_child_gm),
+        ];
+        if snap.sm_hold.len() != self.models.len()
             || snap.ems.len() != self.ems.len()
-            || snap.cum_real_bits.len() != self.cum_real.len()
+            || float_arrays
+                .iter()
+                .any(|(bits, own)| bits.len() != own.len())
+            || snap.vmc_buffer_bits.len() != 3
+            || snap.em_was_down.len() != self.em_was_down.len()
             || snap.em_replicas.len() != self.em_replicas.len()
             || snap.gm_replica.is_some() != self.gm_replica.is_some()
+            || !self.bank.fits(&snap.bank)
+            || !self.injector.fits(&snap.injector)
         {
             return Err(CoreError::Checkpoint(
                 "checkpoint sizes do not match this configuration".to_string(),
@@ -1569,10 +1595,9 @@ impl Runner {
             em.restore(s);
         }
         self.gm.restore(&snap.gm);
-        let mut vb = [0u64; 3];
-        for (w, &v) in vb.iter_mut().zip(&snap.vmc_buffer_bits) {
-            *w = v;
-        }
+        let vb: [u64; 3] = snap.vmc_buffer_bits[..]
+            .try_into()
+            .expect("buffer length checked above");
         self.vmc.restore_buffer_bits(&vb);
         for (h, &raw) in self.sm_hold.iter_mut().zip(&snap.sm_hold) {
             *h = if raw == u64::MAX {

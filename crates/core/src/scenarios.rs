@@ -69,6 +69,9 @@ pub struct Scenario {
     sim: SimConfig,
     horizon: u64,
     seed: u64,
+    /// Minimum trace length in ticks: traces are `max(horizon, this)`
+    /// long. It does not set the workloads' day length; every class spec
+    /// keeps its own 2000-tick diurnal period.
     diurnal_period: usize,
     pstate_subset: Option<Vec<usize>>,
     electrical_cap_frac: Option<f64>,
@@ -386,9 +389,9 @@ fn build_scale_traces(n: usize, horizon: u64, seed: u64, diurnal_period: usize) 
 
 /// Generates the enterprise corpus sized for the run and selects a mix.
 fn build_mix_traces(mix: Mix, horizon: u64, seed: u64, diurnal_period: usize) -> Vec<UtilTrace> {
-    // Trace length: at least one diurnal period, at most the horizon
-    // (traces wrap cyclically). Generating exactly the horizon keeps runs
-    // free of wrap artifacts.
+    // Trace length: `max(horizon, diurnal_period)`. Generating at least
+    // the horizon keeps runs free of wrap artifacts (traces wrap
+    // cyclically); shorter runs still get `diurnal_period` ticks.
     let len = (horizon as usize).max(diurnal_period);
     let corpus = Corpus::enterprise(len, seed);
     corpus

@@ -787,10 +787,25 @@ impl FaultInjector {
         }
     }
 
+    /// True if `snap` has this injector's shape: one entry per sensor
+    /// slot, per server and per grant link in the matching arrays.
+    /// [`FaultInjector::restore`] replaces its arrays wholesale, so a
+    /// caller restoring untrusted state checks this first.
+    pub fn fits(&self, snap: &InjectorSnapshot) -> bool {
+        let slots = self.sensors.ctr.len();
+        let servers = self.actuator_ctr.len();
+        snap.sensor_ctr.len() == slots
+            && snap.sensor_stuck_until.len() == slots
+            && snap.sensor_stuck_val_bits.len() == slots
+            && snap.stuck_actuators.len() == servers
+            && snap.actuator_ctr.len() == servers
+            && snap.message_ctr.len() == self.message_ctr.len()
+    }
+
     /// Restores state captured by [`FaultInjector::snapshot`]. The
-    /// injector must have been built from the same plan and fleet shape.
+    /// injector must have been built from the same plan and fleet shape
+    /// (see [`FaultInjector::fits`]).
     pub fn restore(&mut self, snap: &InjectorSnapshot) {
-        debug_assert_eq!(self.sensors.ctr.len(), snap.sensor_ctr.len());
         self.sensors.ctr = snap.sensor_ctr.clone();
         self.sensors.stuck_until = snap.sensor_stuck_until.clone();
         self.sensors.stuck_val = snap

@@ -5,7 +5,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::mix::Mix;
-use crate::synth::{generate, WorkloadClass};
+use crate::synth::{generate_on, Calendar, WorkloadClass};
 use crate::trace::UtilTrace;
 use crate::Result;
 
@@ -101,6 +101,11 @@ impl Corpus {
 
     /// Generates a corpus from custom site profiles with
     /// `servers_per_site` servers each.
+    ///
+    /// Every trace of one diurnal period shares one calendar (the
+    /// per-tick day angle and weekly sine), rebuilt only when a spec's
+    /// period differs from the last one and dropped once the corpus is
+    /// built.
     pub fn from_profiles(
         profiles: &[EnterpriseProfile],
         servers_per_site: usize,
@@ -108,6 +113,7 @@ impl Corpus {
         seed: u64,
     ) -> Self {
         let mut traces = Vec::with_capacity(profiles.len() * servers_per_site);
+        let mut calendar: Option<Calendar> = None;
         for (si, site) in profiles.iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(
                 seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(si as u64 + 1)),
@@ -121,7 +127,12 @@ impl Corpus {
                 spec.phase += rng.gen_range(-0.5..0.5);
                 spec.mean_util = (spec.mean_util * rng.gen_range(0.85..1.15)).clamp(0.02, 0.95);
                 let name = format!("{}/{:?}-{:02}", site.name, class, server);
-                traces.push(generate(name, &spec, len, &mut rng));
+                let period = spec.diurnal_period;
+                if calendar.as_ref().map(Calendar::period) != Some(period) {
+                    calendar = Some(Calendar::new(period, len));
+                }
+                let calendar = calendar.as_ref().expect("calendar built above");
+                traces.push(generate_on(name, &spec, calendar, &mut rng));
             }
         }
         Self { traces }
@@ -147,13 +158,15 @@ impl Corpus {
         self.traces
     }
 
-    /// Indices of all traces sorted by ascending mean utilization.
+    /// Indices of all traces sorted by ascending mean utilization (a
+    /// stable sort: equal means keep corpus order). Each mean is computed
+    /// once, not once per comparison.
     pub fn indices_by_mean(&self) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.traces.len()).collect();
+        let means: Vec<f64> = self.traces.iter().map(UtilTrace::mean).collect();
+        let mut idx: Vec<usize> = (0..means.len()).collect();
         idx.sort_by(|&a, &b| {
-            self.traces[a]
-                .mean()
-                .partial_cmp(&self.traces[b].mean())
+            means[a]
+                .partial_cmp(&means[b])
                 .expect("trace means are finite")
         });
         idx

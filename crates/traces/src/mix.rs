@@ -82,7 +82,6 @@ impl Mix {
                 available: n,
             });
         }
-        let by_mean = corpus.indices_by_mean();
         let third = n / 3;
         let pick = |indices: &[usize]| -> Vec<UtilTrace> {
             indices
@@ -92,12 +91,13 @@ impl Mix {
         };
         match self {
             Mix::All180 => Ok(corpus.traces().to_vec()),
-            Mix::L60 => Ok(pick(&by_mean[..third])),
-            Mix::M60 => Ok(pick(&by_mean[third..2 * third])),
-            Mix::H60 => Ok(pick(&by_mean[n - third..])),
+            Mix::L60 => Ok(pick(&corpus.indices_by_mean()[..third])),
+            Mix::M60 => Ok(pick(&corpus.indices_by_mean()[third..2 * third])),
+            Mix::H60 => Ok(pick(&corpus.indices_by_mean()[n - third..])),
             Mix::Hh60 => {
                 // Hottest 2·third traces, stacked in pairs: i-th hottest
                 // with (i+third)-th hottest.
+                let by_mean = corpus.indices_by_mean();
                 let hot: Vec<usize> = by_mean[n - 2 * third..].iter().rev().copied().collect();
                 (0..third)
                     .map(|i| {
@@ -108,6 +108,7 @@ impl Mix {
                     .collect()
             }
             Mix::Hhh60 => {
+                let by_mean = corpus.indices_by_mean();
                 let hot: Vec<usize> = by_mean[n - 3 * third..].iter().rev().copied().collect();
                 (0..third)
                     .map(|i| {

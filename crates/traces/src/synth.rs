@@ -185,6 +185,37 @@ impl TraceSpec {
     }
 }
 
+/// The per-tick angles shared by every trace of one diurnal period:
+/// `day_angle[t] = TAU·t/period` (the trace's own phase is added per
+/// sample) and `week_sin[t] = sin(TAU·t/(7·period))`. A corpus builds it
+/// once for all its traces instead of recomputing both per trace; the
+/// values are the very same expressions, so samples stay bit-identical.
+pub(crate) struct Calendar {
+    period: usize,
+    day_angle: Vec<f64>,
+    week_sin: Vec<f64>,
+}
+
+impl Calendar {
+    /// The calendar of `len` ticks (at least one) for `period`-tick days.
+    pub(crate) fn new(period: usize, len: usize) -> Self {
+        use std::f64::consts::TAU;
+        let len = len.max(1);
+        Self {
+            period,
+            day_angle: (0..len).map(|t| TAU * t as f64 / period as f64).collect(),
+            week_sin: (0..len)
+                .map(|t| (TAU * t as f64 / (7.0 * period as f64)).sin())
+                .collect(),
+        }
+    }
+
+    /// The diurnal period this calendar was built for.
+    pub(crate) fn period(&self) -> usize {
+        self.period
+    }
+}
+
 /// Generates a `len`-tick utilization trace from `spec`, using `rng` for
 /// the stochastic components. Deterministic for a given RNG state.
 pub fn generate<R: Rng>(
@@ -193,8 +224,18 @@ pub fn generate<R: Rng>(
     len: usize,
     rng: &mut R,
 ) -> UtilTrace {
-    use std::f64::consts::TAU;
-    let len = len.max(1);
+    generate_on(name, spec, &Calendar::new(spec.diurnal_period, len), rng)
+}
+
+/// [`generate`] over a prebuilt `calendar`, whose period must be the
+/// spec's and whose length is the trace's.
+pub(crate) fn generate_on<R: Rng>(
+    name: impl Into<String>,
+    spec: &TraceSpec,
+    calendar: &Calendar,
+    rng: &mut R,
+) -> UtilTrace {
+    debug_assert_eq!(calendar.period, spec.diurnal_period);
     let mut ar = 0.0_f64;
     let mut burst_left = 0usize;
     // Pre-scale AR(1) innovation so the process has stationary std
@@ -202,13 +243,15 @@ pub fn generate<R: Rng>(
     let innov = spec.noise_sigma * (1.0 - spec.noise_rho * spec.noise_rho).sqrt();
     // Collected straight into the shared buffer: an exact-size iterator
     // fills the `Arc` without an intermediate `Vec` copy.
-    let samples: Arc<[f64]> = (0..len)
-        .map(|t| {
-            let day = TAU * t as f64 / spec.diurnal_period as f64 + spec.phase;
-            let week = TAU * t as f64 / (7.0 * spec.diurnal_period as f64);
+    let samples: Arc<[f64]> = calendar
+        .day_angle
+        .iter()
+        .zip(&calendar.week_sin)
+        .map(|(&angle, &week_sin)| {
+            let day = angle + spec.phase;
             let mut u = spec.mean_util
                 * (1.0 + spec.diurnal_amplitude * day.sin())
-                * (1.0 + spec.weekly_amplitude * week.sin());
+                * (1.0 + spec.weekly_amplitude * week_sin);
             ar = spec.noise_rho * ar + innov * gaussian(rng);
             u += ar;
             if burst_left > 0 {

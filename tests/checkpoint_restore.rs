@@ -340,6 +340,63 @@ fn malformed_event_words_are_rejected_without_touching_the_runner() {
 }
 
 #[test]
+fn truncated_state_arrays_are_rejected_without_touching_the_runner() {
+    let cfg = stressed_config();
+    let mut source = Runner::new(&cfg);
+    for _ in 0..150 {
+        source.tick();
+    }
+    let good = source.snapshot();
+    type Truncate = fn(&mut RunnerSnapshot);
+    let cuts: [(&str, Truncate); 6] = [
+        ("snap_power_sm_bits", |s| {
+            s.snap_power_sm_bits.pop();
+        }),
+        ("bank.freq_hz_bits", |s| {
+            s.bank.freq_hz_bits.pop();
+        }),
+        ("injector.actuator_ctr", |s| {
+            s.injector.actuator_ctr.pop();
+        }),
+        ("injector.sensor_stuck_val_bits", |s| {
+            s.injector.sensor_stuck_val_bits.pop();
+        }),
+        ("last_child_gm_bits", |s| {
+            s.last_child_gm_bits.pop();
+        }),
+        ("vmc_buffer_bits", |s| {
+            s.vmc_buffer_bits.pop();
+        }),
+    ];
+
+    let mut target = Runner::new(&cfg);
+    for _ in 0..40 {
+        target.tick();
+    }
+    let before = state_json(&mut target);
+    for (field, cut) in cuts {
+        let mut bad = good.clone();
+        cut(&mut bad);
+        let err = target
+            .restore(&bad)
+            .expect_err(&format!("truncated {field} must be rejected"));
+        assert!(
+            matches!(err, no_power_struggles::core::CoreError::Checkpoint(_)),
+            "{field}: unexpected error: {err}"
+        );
+        assert_eq!(
+            state_json(&mut target),
+            before,
+            "a failed restore of a truncated {field} mutated the runner"
+        );
+    }
+    target
+        .restore(&good)
+        .expect("the intact checkpoint still restores");
+    assert_eq!(state_json(&mut target), state_json(&mut source));
+}
+
+#[test]
 fn load_reports_an_older_format_version_before_mapping_fields() {
     let cfg = stressed_config();
     let mut runner = Runner::new(&cfg);
