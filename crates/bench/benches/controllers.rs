@@ -1,12 +1,14 @@
 //! Micro-benchmarks of the controller hot paths: the per-tick EC step,
-//! the SM interval, P-state quantization, and budget-division policies.
+//! the SM interval, P-state quantization, budget-division policies,
+//! grant delivery over the control bus, and the fixed-shape tree sum.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use nps_control::{
     BudgetPolicy, EfficiencyController, FairShare, HistoryWeighted, ProportionalShare,
     ServerManager,
 };
 use nps_models::ServerModel;
+use nps_sim::{reduce, BusConfig, ControlBus, LinkId, RetryConfig};
 use std::hint::black_box;
 
 fn bench_ec_step(c: &mut Criterion) {
@@ -70,12 +72,62 @@ fn bench_capping_slope(c: &mut Criterion) {
     });
 }
 
+/// One GM epoch's grants on `paper180` (120 EM→blade + 66 GM→child
+/// links): `send` on every link, then one `poll_into` into a reused
+/// buffer. With retries on, every delivery also queues and routes an
+/// ack.
+fn bench_bus_grant(c: &mut Criterion) {
+    const LINKS: usize = 186;
+    let retrying = BusConfig::passthrough().with_retry(RetryConfig {
+        max_attempts: 3,
+        ..RetryConfig::default()
+    });
+    let mut group = c.benchmark_group("bus/passthrough_grant");
+    for (name, cfg) in [
+        ("retries_off", BusConfig::passthrough()),
+        ("retries_on", retrying),
+    ] {
+        group.bench_function(name, |b| {
+            let mut bus = ControlBus::new(&cfg);
+            for _ in 0..LINKS {
+                bus.register_link();
+            }
+            let mut events = Vec::new();
+            let mut t = 0u64;
+            b.iter(|| {
+                for l in 0..LINKS {
+                    bus.send(LinkId(l), 100.0 + l as f64, t, false);
+                }
+                bus.poll_into(t, &mut events);
+                t += 1;
+                black_box(events.len())
+            });
+        });
+    }
+    group.finish();
+}
+
+/// The sequential fixed-shape sum at an enclosure (20), the paper's
+/// fleet (180) and a size past the 2048-element stack buffer (4096).
+fn bench_tree_sum(c: &mut Criterion) {
+    let mut group = c.benchmark_group("reduce/tree_sum");
+    for n in [20usize, 180, 4096] {
+        let xs: Vec<f64> = (0..n).map(|i| 100.0 + (i % 13) as f64 * 7.5).collect();
+        group.bench_function(BenchmarkId::from_parameter(n), |b| {
+            b.iter(|| black_box(reduce::tree_sum(black_box(&xs))));
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_ec_step,
     bench_sm_step,
     bench_quantize,
     bench_policies,
-    bench_capping_slope
+    bench_capping_slope,
+    bench_bus_grant,
+    bench_tree_sum
 );
 criterion_main!(benches);

@@ -165,6 +165,9 @@ pub struct Runner {
     server_link: Vec<Option<usize>>,
     /// Enclosure index → link slot of the GM→EM grant edge.
     em_link: Vec<usize>,
+    /// Reusable event buffer for [`Runner::drain_bus`] (empty between
+    /// drains), so a grant's synchronous drain does not allocate.
+    bus_events: Vec<BusEvent>,
     // Violation accounting.
     violations: LevelViolations,
     win_sm: ViolationCounter,
@@ -568,6 +571,7 @@ impl Runner {
             link_meta,
             server_link,
             em_link,
+            bus_events: Vec::new(),
             cum_real: vec![0.0; num_vms],
             cum_apparent: vec![0.0; num_vms],
             snap_real: vec![0.0; num_vms],
@@ -803,7 +807,11 @@ impl Runner {
     /// rejected, retransmissions are counted.
     fn drain_bus(&mut self) {
         let t = self.ticks_done;
-        for event in self.bus.poll(t) {
+        // Taken, not borrowed: applying an event needs `&mut self`, and a
+        // nested drain then starts from an empty buffer of its own.
+        let mut events = std::mem::take(&mut self.bus_events);
+        self.bus.poll_into(t, &mut events);
+        for &event in &events {
             let slot = match &event {
                 BusEvent::Delivered(m) | BusEvent::Duplicate(m) | BusEvent::Exhausted(m) => {
                     m.link.0
@@ -871,6 +879,8 @@ impl Runner {
                 BusEvent::Exhausted(_) => {}
             }
         }
+        events.clear();
+        self.bus_events = events;
     }
 
     /// Applies one accepted grant to its receiver and emits the legacy
@@ -1581,6 +1591,9 @@ impl Runner {
                 "checkpoint sizes do not match this configuration".to_string(),
             ));
         }
+        self.bus
+            .fits(&snap.bus)
+            .map_err(|e| CoreError::Checkpoint(format!("checkpoint bus state: {e}")))?;
         // First mutation, and fallible: the simulator decodes its event
         // words before assigning anything, so a malformed log leaves the
         // whole runner untouched.

@@ -37,7 +37,12 @@
 //! ride the bus back with the deterministic base delay and are never
 //! lost; unacked grants are re-sent until `max_attempts` is exhausted,
 //! after which the sender gives up and the receiver's lease (if enabled)
-//! expires it back to the local static cap.
+//! expires it back to the local static cap. An ack's only effect is to
+//! clear that retry state, so a bus with retries off sends none.
+//!
+//! The per-grant path allocates nothing in steady state:
+//! [`ControlBus::poll_into`] writes into a caller-owned event buffer and
+//! the retry pass reuses a bus-owned scratch list.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -294,7 +299,9 @@ pub enum BusEvent {
 enum MsgKind {
     /// Grantor → child budget grant.
     Grant,
-    /// Child → grantor acknowledgement (deterministic, lossless).
+    /// Child → grantor acknowledgement (deterministic, lossless). Sent
+    /// only while retries are enabled — its one effect is clearing the
+    /// sender's pending retry.
     Ack,
 }
 
@@ -387,6 +394,10 @@ pub struct ControlBus {
     /// (one per popped timer entry, or per link in the reference scan).
     /// An idle tick performs zero.
     link_scans: u64,
+    /// Scratch list of due links for [`ControlBus::fire_retries`], kept
+    /// between polls so the retry pass does not allocate. Always empty
+    /// outside that call.
+    due_scratch: Vec<usize>,
 }
 
 impl ControlBus {
@@ -405,6 +416,7 @@ impl ControlBus {
             pending_count: 0,
             next_uid: 0,
             link_scans: 0,
+            due_scratch: Vec::new(),
         }
     }
 
@@ -546,21 +558,32 @@ impl ControlBus {
         })));
     }
 
+    /// Processes all traffic due at or before `now` and returns the
+    /// events in a fresh vector. A convenience wrapper over
+    /// [`ControlBus::poll_into`], which hot loops should call instead.
+    pub fn poll(&mut self, now: u64) -> Vec<BusEvent> {
+        let mut events = Vec::new();
+        self.poll_into(now, &mut events);
+        events
+    }
+
     /// Processes all traffic due at or before `now`: delivers grants
     /// (enforcing sequence-number acceptance), routes acks, and fires
     /// expired retransmission timers. Messages spawned during the poll
     /// (acks, zero-delay retries) that come due at `now` are processed in
     /// the same call.
-    pub fn poll(&mut self, now: u64) -> Vec<BusEvent> {
-        let mut events = Vec::new();
+    ///
+    /// `events` is cleared and then filled in order, so a caller that
+    /// reuses one buffer polls without allocating once it has grown to
+    /// the largest batch.
+    pub fn poll_into(&mut self, now: u64, events: &mut Vec<BusEvent>) {
+        events.clear();
         loop {
-            let progressed =
-                self.deliver_due(now, &mut events) | self.fire_retries(now, &mut events);
+            let progressed = self.deliver_due(now, events) | self.fire_retries(now, events);
             if !progressed {
                 break;
             }
         }
-        events
     }
 
     /// The pre-heap poll algorithm: identical delivery, but the
@@ -626,18 +649,22 @@ impl ControlBus {
                 accepted,
             });
         }
-        // Every delivery is acknowledged (duplicates and stale copies
-        // too: the ack names the copy's own sequence number, and the
-        // sender ignores acks for anything but its pending grant). Acks
-        // are deterministic and lossless — the asymmetry keeps the fault
-        // model focused on the downstream grant channel.
-        self.enqueue(
-            now + self.cfg.delay_ticks,
-            msg.link,
-            MsgKind::Ack,
-            msg.seq,
-            0.0,
-        );
+        // With retries on, every delivery is acknowledged (duplicates
+        // and stale copies too: the ack names the copy's own sequence
+        // number, and the sender ignores acks for anything but its
+        // pending grant). Acks are deterministic and lossless — the
+        // asymmetry keeps the fault model focused on the downstream grant
+        // channel. With retries off no pending grant exists for an ack
+        // to clear, and an ack draws no randomness and yields no event.
+        if self.cfg.retry.enabled() {
+            self.enqueue(
+                now + self.cfg.delay_ticks,
+                msg.link,
+                MsgKind::Ack,
+                msg.seq,
+                0.0,
+            );
+        }
     }
 
     /// Fires retransmission timers due at `now` by draining the timer
@@ -650,7 +677,7 @@ impl ControlBus {
         if !self.cfg.retry.enabled() {
             return false;
         }
-        let mut due: Vec<usize> = Vec::new();
+        let mut due = std::mem::take(&mut self.due_scratch);
         while let Some(&Reverse((at, link))) = self.retry_timers.peek() {
             if at > now {
                 break;
@@ -668,14 +695,14 @@ impl ControlBus {
                 due.push(link);
             }
         }
-        if due.is_empty() {
-            return false;
-        }
+        let progressed = !due.is_empty();
         due.sort_unstable();
-        for link in due {
+        for &link in &due {
             self.fire_link_retry(link, now, events);
         }
-        true
+        due.clear();
+        self.due_scratch = due;
+        progressed
     }
 
     /// The reference retransmission pass: a full scan over every link in
@@ -778,10 +805,42 @@ impl ControlBus {
         }
     }
 
+    /// Checks that `snap` has this bus's shape: exactly four PRNG state
+    /// words, one link entry per registered link, and every in-flight
+    /// message on a registered link. [`ControlBus::restore`] takes the
+    /// link list wholesale and indexes links by the queued entries, so a
+    /// caller restoring untrusted state checks this first; otherwise a
+    /// short RNG array keeps part of the stale state and a bad link
+    /// index panics when the message comes due.
+    pub fn fits(&self, snap: &BusSnapshot) -> Result<(), String> {
+        if snap.rng.len() != 4 {
+            return Err(format!(
+                "bus RNG state has {} words, expected 4",
+                snap.rng.len()
+            ));
+        }
+        let links = self.links.len();
+        if snap.links.len() != links {
+            return Err(format!(
+                "bus snapshot has {} links, this bus registers {links}",
+                snap.links.len()
+            ));
+        }
+        if let Some(m) = snap.queue.iter().find(|m| m.link >= links) {
+            return Err(format!(
+                "in-flight message uid {} names link {} of {links}",
+                m.uid, m.link
+            ));
+        }
+        Ok(())
+    }
+
     /// Restores state captured by [`ControlBus::snapshot`]. The bus must
-    /// have the same links registered (same topology/config). The retry
-    /// timer heap is rebuilt from the live pending grants (one entry
-    /// each — stale entries never reach a checkpoint).
+    /// have the same links registered (same topology/config; see
+    /// [`ControlBus::fits`]). The retry timer heap is rebuilt from the
+    /// live pending grants (one entry each — stale entries never reach a
+    /// checkpoint). Acks queued by an older build on a retry-less bus
+    /// restore as no-ops: they find no pending grant to clear.
     pub fn restore(&mut self, snap: &BusSnapshot) {
         let mut rng_state = [0u64; 4];
         for (slot, &word) in rng_state.iter_mut().zip(snap.rng.iter()) {
@@ -1046,6 +1105,68 @@ mod tests {
             assert!(bus.poll(t).is_empty());
         }
         assert!(bus.is_idle());
+    }
+
+    #[test]
+    fn acks_ride_the_bus_only_when_retries_are_enabled() {
+        let retrying = BusConfig::default().with_retry(RetryConfig {
+            max_attempts: 2,
+            ..RetryConfig::default()
+        });
+        for (cfg, msgs_per_grant) in [(BusConfig::default(), 1), (retrying, 2)] {
+            let mut bus = ControlBus::new(&cfg);
+            let link = bus.register_link();
+            for t in 0..10 {
+                bus.send(link, 80.0 + t as f64, t, false);
+                assert_eq!(deliveries(&bus.poll(t)), vec![(0, t + 1, 80.0 + t as f64)]);
+                assert!(bus.is_idle());
+            }
+            assert_eq!(bus.next_uid, 10 * msgs_per_grant, "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn queued_acks_from_older_checkpoints_restore_as_no_ops() {
+        // A retry-less bus used to enqueue an ack per delivery; a
+        // checkpoint taken while one was in flight must still restore,
+        // and the ack must neither fail nor emit anything when it lands.
+        let cfg = BusConfig::default().with_delay(2, 0);
+        let mut old = ControlBus::new(&cfg);
+        let link = old.register_link();
+        old.send(link, 60.0, 0, false);
+        assert_eq!(deliveries(&old.poll(2)), vec![(0, 1, 60.0)]);
+        old.enqueue(4, link.0, MsgKind::Ack, 1, 0.0);
+        let snap = old.snapshot();
+        assert!(snap.queue.iter().any(|m| m.is_ack));
+
+        let mut resumed = ControlBus::new(&cfg);
+        resumed.register_link();
+        resumed.fits(&snap).expect("legacy snapshot fits");
+        resumed.restore(&snap);
+        assert!(!resumed.is_idle());
+        for t in 3..6 {
+            assert!(resumed.poll(t).is_empty());
+        }
+        assert!(resumed.is_idle());
+        assert_eq!(resumed.accepted_seq(link), 1);
+    }
+
+    #[test]
+    fn poll_into_replaces_the_buffer_contents() {
+        let mut bus = ControlBus::new(&BusConfig::default());
+        let links: Vec<LinkId> = (0..4).map(|_| bus.register_link()).collect();
+        let mut events = Vec::new();
+        for t in 0..3 {
+            for &l in &links {
+                bus.send(l, 10.0 * t as f64, t, false);
+            }
+            bus.poll_into(t, &mut events);
+            assert_eq!(events.len(), links.len(), "tick {t}");
+        }
+        let capacity = events.capacity();
+        bus.poll_into(3, &mut events);
+        assert!(events.is_empty());
+        assert_eq!(events.capacity(), capacity);
     }
 
     #[test]

@@ -32,7 +32,10 @@
 //!
 //! # The two drivers
 //!
-//! [`tree_reduce`] walks the tree on the calling thread. The
+//! [`tree_reduce`] walks the tree on the calling thread without
+//! touching the heap for up to 2048 elements: leaf partials go into a
+//! 64-slot stack buffer and the pairwise rounds run in place over it
+//! (larger inputs use one heap buffer, same rounds). The
 //! pool-parallel driver ([`tree_reduce_pool`]) farms the *leaf
 //! partials* out to a [`WorkerPool`] (one work item per leaf, so
 //! work-stealing can balance them freely) and then combines the
@@ -77,28 +80,38 @@ where
     acc
 }
 
-/// Combines leaf partials by balanced pairwise rounds. Adjacent
-/// partials pair left-to-right; an odd trailing partial is carried
-/// unchanged. The sequence of combines is a pure function of
-/// `parts.len()` — shared verbatim by both drivers.
-fn combine_partials<T, C>(mut parts: Vec<T>, identity: T, combine: &C) -> T
+/// Leaf partials the sequential driver keeps in a stack buffer: 64
+/// leaves cover 2048 elements, which includes every enclosure, fleet
+/// and VM reduction the paper's workloads perform per tick. Larger
+/// inputs fall back to one heap buffer.
+const STACK_LEAVES: usize = 64;
+
+/// Combines leaf partials by balanced pairwise rounds, in place: round
+/// by round, `parts[i] = combine(parts[2i], parts[2i+1])` over the live
+/// prefix (slot `i` is written only after slots `2i` and `2i+1` have
+/// been read, so no partial is overwritten before its use), and an odd
+/// trailing partial is carried unchanged. The sequence of combines is a
+/// pure function of `parts.len()` — shared verbatim by both drivers.
+fn combine_in_place<T, C>(parts: &mut [T], identity: T, combine: &C) -> T
 where
     T: Copy,
     C: Fn(T, T) -> T + ?Sized,
 {
-    if parts.is_empty() {
+    let mut len = parts.len();
+    if len == 0 {
         return identity;
     }
-    while parts.len() > 1 {
-        let mut next = Vec::with_capacity(parts.len().div_ceil(2));
-        for pair in parts.chunks(2) {
-            next.push(if pair.len() == 2 {
-                combine(pair[0], pair[1])
+    while len > 1 {
+        let half = len.div_ceil(2);
+        for i in 0..half {
+            let left = parts[2 * i];
+            parts[i] = if 2 * i + 1 < len {
+                combine(left, parts[2 * i + 1])
             } else {
-                pair[0]
-            });
+                left
+            };
         }
-        parts = next;
+        len = half;
     }
     parts[0]
 }
@@ -107,16 +120,33 @@ where
 /// tree on the calling thread. `combine` must not be assumed
 /// associative — the whole point is that it is called in one specific
 /// order — but it must be a pure function of its operands.
+///
+/// Allocation-free up to `64 * LEAF_WIDTH` elements: the leaf partials
+/// live in a stack buffer and the pairwise rounds run in place over it.
 pub fn tree_reduce<T, M, C>(n: usize, identity: T, map: M, combine: C) -> T
 where
     T: Copy,
     M: Fn(usize) -> T,
     C: Fn(T, T) -> T,
 {
-    let parts: Vec<T> = (0..num_leaves(n))
-        .map(|k| leaf_partial(k, n, identity, &map, &combine))
-        .collect();
-    combine_partials(parts, identity, &combine)
+    let leaves = num_leaves(n);
+    if leaves == 1 {
+        // The rounds would combine nothing: skip filling the buffer.
+        return leaf_partial(0, n, identity, &map, &combine);
+    }
+    if leaves <= STACK_LEAVES {
+        let mut buf = [identity; STACK_LEAVES];
+        let parts = &mut buf[..leaves];
+        for (k, part) in parts.iter_mut().enumerate() {
+            *part = leaf_partial(k, n, identity, &map, &combine);
+        }
+        combine_in_place(parts, identity, &combine)
+    } else {
+        let mut parts: Vec<T> = (0..leaves)
+            .map(|k| leaf_partial(k, n, identity, &map, &combine))
+            .collect();
+        combine_in_place(&mut parts, identity, &combine)
+    }
 }
 
 /// Pool-parallel driver: leaf partials are computed by the pool (one
@@ -137,11 +167,11 @@ where
         let partial = leaf_partial(k, n, identity, &map, &combine);
         *cells[k].lock().expect("reduce leaf cell poisoned") = partial;
     });
-    let parts: Vec<T> = cells
+    let mut parts: Vec<T> = cells
         .into_iter()
         .map(|c| c.into_inner().expect("reduce leaf cell poisoned"))
         .collect();
-    combine_partials(parts, identity, &combine)
+    combine_in_place(&mut parts, identity, &combine)
 }
 
 /// Fixed-shape sum of `f(0) .. f(n-1)` (identity `0.0`, combine `+`).
@@ -218,6 +248,64 @@ mod tests {
         // the identity.
         let s = shape(97);
         assert!(s.contains(&(32, 32)) && s.contains(&(64, 33)), "{s:?}");
+    }
+
+    /// The allocating pairwise rounds the in-place combine replaced:
+    /// one fresh `Vec` per round.
+    fn reference_rounds<T: Copy>(mut parts: Vec<T>, identity: T, combine: &dyn Fn(T, T) -> T) -> T {
+        if parts.is_empty() {
+            return identity;
+        }
+        while parts.len() > 1 {
+            parts = parts
+                .chunks(2)
+                .map(|pair| {
+                    if pair.len() == 2 {
+                        combine(pair[0], pair[1])
+                    } else {
+                        pair[0]
+                    }
+                })
+                .collect();
+        }
+        parts[0]
+    }
+
+    #[test]
+    fn in_place_rounds_replay_the_allocating_rounds_call_for_call() {
+        // Log every combine as (left_span, right_span) of the element
+        // ranges it merges, on both sides of the 2048-element stack
+        // buffer boundary: the in-place driver must issue the same
+        // calls in the same order as one-Vec-per-round rounds.
+        type Span = (usize, usize);
+        for n in [33, 65, 97, 2047, 2048, 2049, 2080, 4096, 5000] {
+            let new_log = Mutex::new(Vec::new());
+            let new = tree_reduce(
+                n,
+                (usize::MAX, 0),
+                |i| (i, i),
+                |a: Span, b: Span| {
+                    new_log.lock().unwrap().push((a, b));
+                    (a.0.min(b.0), a.1.max(b.1))
+                },
+            );
+            let old_log = Mutex::new(Vec::new());
+            let combine = |a: Span, b: Span| {
+                old_log.lock().unwrap().push((a, b));
+                (a.0.min(b.0), a.1.max(b.1))
+            };
+            let leaves = (0..num_leaves(n))
+                .map(|k| leaf_partial(k, n, (usize::MAX, 0), &|i| (i, i), &combine))
+                .collect();
+            let old = reference_rounds(leaves, (usize::MAX, 0), &combine);
+            assert_eq!(new, old, "n={n}");
+            assert_eq!(new, (0, n - 1), "n={n}");
+            assert_eq!(
+                new_log.into_inner().unwrap(),
+                old_log.into_inner().unwrap(),
+                "n={n}"
+            );
+        }
     }
 
     #[test]

@@ -68,8 +68,15 @@ impl UtilTrace {
     }
 
     /// Demand at tick `t`, wrapping cyclically past the end of the trace.
+    ///
+    /// Scenario traces are generated at least one horizon long, so the
+    /// in-range branch serves every tick of a run without a 64-bit
+    /// division; only a wrap pays for the `%`.
+    #[inline]
     pub fn demand_at(&self, tick: u64) -> f64 {
-        self.samples[(tick % self.samples.len() as u64) as usize]
+        let len = self.samples.len() as u64;
+        let i = if tick < len { tick } else { tick % len };
+        self.samples[i as usize]
     }
 
     /// Sums this trace with `others` sample-by-sample, clamping at 1.0 —
@@ -204,6 +211,19 @@ mod tests {
         assert_eq!(t.demand_at(0), 0.1);
         assert_eq!(t.demand_at(4), 0.2);
         assert_eq!(t.demand_at(300), 0.1);
+    }
+
+    #[test]
+    fn demand_indexes_directly_below_len_and_wraps_at_and_past_it() {
+        let samples: Vec<f64> = (0..7).map(|i| i as f64 / 10.0).collect();
+        let len = samples.len() as u64;
+        let t = UtilTrace::new("t", samples.clone()).unwrap();
+        assert_eq!(t.demand_at(len - 1), samples[6]);
+        assert_eq!(t.demand_at(len), samples[0]);
+        assert_eq!(t.demand_at(2 * len + 3), samples[3]);
+        for tick in 0..5 * len {
+            assert_eq!(t.demand_at(tick), samples[(tick % len) as usize]);
+        }
     }
 
     #[test]

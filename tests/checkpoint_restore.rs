@@ -397,6 +397,69 @@ fn truncated_state_arrays_are_rejected_without_touching_the_runner() {
 }
 
 #[test]
+fn misshapen_bus_state_is_rejected_without_touching_the_runner() {
+    use no_power_struggles::sim::bus::InFlightSnapshot;
+
+    let cfg = stressed_config();
+    let mut source = Runner::new(&cfg);
+    for _ in 0..150 {
+        source.tick();
+    }
+    let good = source.snapshot();
+    type Edit = fn(&mut RunnerSnapshot);
+    let edits: [(&str, Edit); 5] = [
+        ("bus.rng short", |s| {
+            s.bus.rng.pop();
+        }),
+        ("bus.rng long", |s| s.bus.rng.push(7)),
+        ("bus.links short", |s| {
+            s.bus.links.pop();
+        }),
+        ("bus.links long", |s| {
+            let extra = s.bus.links[0].clone();
+            s.bus.links.push(extra);
+        }),
+        ("bus.queue link out of range", |s| {
+            let links = s.bus.links.len();
+            s.bus.queue.push(InFlightSnapshot {
+                deliver_at: u64::MAX,
+                uid: u64::MAX,
+                link: links,
+                is_ack: false,
+                seq: 1,
+                watts_bits: 100.0f64.to_bits(),
+            });
+        }),
+    ];
+
+    let mut target = Runner::new(&cfg);
+    for _ in 0..40 {
+        target.tick();
+    }
+    let before = state_json(&mut target);
+    for (field, edit) in edits {
+        let mut bad = good.clone();
+        edit(&mut bad);
+        let err = target
+            .restore(&bad)
+            .expect_err(&format!("{field} must be rejected"));
+        assert!(
+            matches!(err, no_power_struggles::core::CoreError::Checkpoint(_)),
+            "{field}: unexpected error: {err}"
+        );
+        assert_eq!(
+            state_json(&mut target),
+            before,
+            "a failed restore of {field} mutated the runner"
+        );
+    }
+    target
+        .restore(&good)
+        .expect("the intact checkpoint still restores");
+    assert_eq!(state_json(&mut target), state_json(&mut source));
+}
+
+#[test]
 fn load_reports_an_older_format_version_before_mapping_fields() {
     let cfg = stressed_config();
     let mut runner = Runner::new(&cfg);
