@@ -156,8 +156,17 @@ impl GroupCapper {
         }
     }
 
+    /// True if `snap`'s policy words have the shape this capper's policy
+    /// exports ([`BudgetPolicy::state_fits`](crate::BudgetPolicy::state_fits)).
+    /// [`GroupCapper::restore`] imports them as given, so a caller
+    /// restoring untrusted state checks this first.
+    pub fn fits(&self, snap: &CapperSnapshot) -> bool {
+        self.policy.state_fits(&snap.policy_state)
+    }
+
     /// Restores state captured by [`GroupCapper::snapshot`]. The capper
-    /// must have been built with the same static budget and policy kind.
+    /// must have been built with the same static budget and policy kind
+    /// (see [`GroupCapper::fits`]).
     pub fn restore(&mut self, snap: &CapperSnapshot) {
         self.granted_cap_watts = f64::from_bits(snap.granted_cap_bits);
         self.lease_until = snap.lease_until;

@@ -40,6 +40,13 @@ pub trait BudgetPolicy: std::fmt::Debug + Send {
     /// Restores state captured by [`BudgetPolicy::export_state`]. The
     /// default is a no-op for stateless policies.
     fn import_state(&mut self, _state: &[u64]) {}
+
+    /// True if `state` has the shape [`BudgetPolicy::export_state`] gives
+    /// for this policy kind, so importing it restores what was exported.
+    /// The default accepts only the empty state of a stateless policy.
+    fn state_fits(&self, state: &[u64]) -> bool {
+        state.is_empty()
+    }
 }
 
 fn proportional(total: f64, weights: &[f64], static_caps: &[f64]) -> Vec<f64> {
@@ -163,6 +170,10 @@ impl BudgetPolicy for RandomOrder {
         self.rng.state().to_vec()
     }
 
+    fn state_fits(&self, state: &[u64]) -> bool {
+        state.len() == 4
+    }
+
     fn import_state(&mut self, state: &[u64]) {
         let mut s = [0u64; 4];
         for (w, &v) in s.iter_mut().zip(state) {
@@ -247,6 +258,13 @@ impl BudgetPolicy for HistoryWeighted {
 
     fn import_state(&mut self, state: &[u64]) {
         self.ewma = state.iter().map(|&b| f64::from_bits(b)).collect();
+    }
+
+    /// Any length: the history is empty before the first division and
+    /// one word per child after it, and `divide` restarts a history
+    /// whose length does not match its children.
+    fn state_fits(&self, _state: &[u64]) -> bool {
+        true
     }
 }
 
@@ -399,6 +417,21 @@ mod tests {
         // Stateless policies export nothing.
         assert!(ProportionalShare.export_state().is_empty());
         assert!(Fifo.export_state().is_empty());
+    }
+
+    #[test]
+    fn every_policy_fits_its_own_state_and_rejects_a_misshapen_one() {
+        for mut p in default_policies(3) {
+            p.divide(150.0, &[60.0, 90.0, 30.0], &CAPS);
+            let state = p.export_state();
+            assert!(p.state_fits(&state), "{}", p.name());
+            let mut longer = state.clone();
+            longer.push(1);
+            if p.name() != "history-weighted" {
+                assert!(!p.state_fits(&longer), "{}", p.name());
+            }
+        }
+        assert!(!RandomOrder::new(1).state_fits(&[1, 2, 3]));
     }
 
     #[test]

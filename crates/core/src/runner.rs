@@ -1586,6 +1586,8 @@ impl Runner {
             || snap.gm_replica.is_some() != self.gm_replica.is_some()
             || !self.bank.fits(&snap.bank)
             || !self.injector.fits(&snap.injector)
+            || !self.gm.fits(&snap.gm)
+            || self.ems.iter().zip(&snap.ems).any(|(em, s)| !em.fits(s))
         {
             return Err(CoreError::Checkpoint(
                 "checkpoint sizes do not match this configuration".to_string(),
@@ -1594,9 +1596,9 @@ impl Runner {
         self.bus
             .fits(&snap.bus)
             .map_err(|e| CoreError::Checkpoint(format!("checkpoint bus state: {e}")))?;
-        // First mutation, and fallible: the simulator decodes its event
-        // words before assigning anything, so a malformed log leaves the
-        // whole runner untouched.
+        // First mutation, and fallible: the simulator checks its shape
+        // and decodes its event words before assigning anything, so a
+        // misshapen simulator snapshot leaves the whole runner untouched.
         self.sim
             .restore(&snap.sim)
             .map_err(|e| CoreError::Checkpoint(e.to_string()))?;

@@ -912,14 +912,91 @@ impl Simulation {
         }
     }
 
+    /// Checks that `snap` has this simulation's shape: one entry per
+    /// server, VM (three words each for the observations) or enclosure
+    /// in every array, every host and P-state index in range, and
+    /// resident lists that match the placement (each VM listed once, on
+    /// its host). [`Simulation::restore`] replaces its arrays wholesale,
+    /// so a snapshot that fails this would otherwise drop or keep a tail
+    /// silently, or panic many ticks later.
+    pub(crate) fn fits(&self, snap: &SimSnapshot) -> Result<()> {
+        let servers = self.topo.num_servers();
+        let vms = self.num_vms();
+        let thermal_servers = if self.thermal.is_some() { servers } else { 0 };
+        let (temps, failed) = snap.thermal.as_ref().map_or((0, 0), ThermalState::shape);
+        let lengths = [
+            ("placement.host", snap.placement.num_vms(), vms),
+            ("residents", snap.residents.len(), servers),
+            ("on", snap.on.len(), servers),
+            ("pstate", snap.pstate.len(), servers),
+            ("mig_until", snap.mig_until.len(), vms),
+            ("boot_until", snap.boot_until.len(), servers),
+            ("util_bits", snap.util_bits.len(), servers),
+            ("power_bits", snap.power_bits.len(), servers),
+            ("vm_obs_bits", snap.vm_obs_bits.len(), 3 * vms),
+            ("cum_power_bits", snap.cum_power_bits.len(), servers),
+            (
+                "cum_enc_power_bits",
+                snap.cum_enc_power_bits.len(),
+                self.topo.num_enclosures(),
+            ),
+            ("cum_util_bits", snap.cum_util_bits.len(), servers),
+            ("cum_granted_bits", snap.cum_granted_bits.len(), vms),
+            ("cum_delivered_bits", snap.cum_delivered_bits.len(), vms),
+            ("cum_demand_bits", snap.cum_demand_bits.len(), vms),
+            (
+                "pstate_written_this_tick",
+                snap.pstate_written_this_tick.len(),
+                servers,
+            ),
+            ("thermal.temps_c", temps, thermal_servers),
+            ("thermal.failed", failed, thermal_servers),
+        ];
+        if let Some(&(field, found, expected)) = lengths.iter().find(|(_, f, e)| f != e) {
+            return Err(SimError::SnapshotLength {
+                field,
+                found,
+                expected,
+            });
+        }
+        let entry = |field, index| Err(SimError::SnapshotEntry { field, index });
+        if let Some(s) = (0..servers).find(|&s| snap.pstate[s] >= self.table.num_pstates(s)) {
+            return entry("pstate", s);
+        }
+        if let Some((vm, _)) = snap
+            .placement
+            .iter()
+            .find(|(_, host)| host.index() >= servers)
+        {
+            return entry("placement.host", vm.index());
+        }
+        let mut listed = vec![false; vms];
+        for (s, list) in snap.residents.iter().enumerate() {
+            for &vm in list {
+                if vm >= vms || listed[vm] || snap.placement.host_of(VmId(vm)).index() != s {
+                    return entry("residents", s);
+                }
+                listed[vm] = true;
+            }
+        }
+        if let Some(vm) = listed.iter().position(|&l| !l) {
+            // Its host's resident list leaves it out.
+            return entry("placement.host", vm);
+        }
+        Ok(())
+    }
+
     /// Restores state captured by [`Simulation::snapshot`]. The target
     /// must have been built from the same topology, models, traces, and
     /// config.
     ///
-    /// The event log is checked against this simulator's ring capacity
-    /// and decoded before anything is assigned, so a malformed log is an
-    /// error that leaves the simulator untouched.
+    /// The snapshot's shape is checked (array lengths, host, P-state and
+    /// resident indices) and the event log is checked against this
+    /// simulator's ring capacity and decoded before anything is
+    /// assigned, so a misshapen snapshot or a malformed log is an error
+    /// that leaves the simulator untouched.
     pub fn restore(&mut self, snap: &SimSnapshot) -> Result<()> {
+        self.fits(snap)?;
         if snap.events.capacity != self.events.capacity() {
             return Err(SimError::EventLog(EventLogError::CapacityMismatch {
                 checkpoint: snap.events.capacity,
@@ -1459,6 +1536,77 @@ mod tests {
             live.total_energy().to_bits(),
             resumed.total_energy().to_bits()
         );
+    }
+
+    #[test]
+    fn restore_rejects_a_misshapen_snapshot_before_assigning() {
+        let mut live = small_sim(&[0.3, 0.6, 0.9]);
+        for _ in 0..5 {
+            live.step();
+        }
+        let good = live.snapshot();
+        type Edit = fn(&mut SimSnapshot);
+        let edits: [(Edit, SimError); 6] = [
+            (
+                |s| {
+                    s.vm_obs_bits.pop();
+                },
+                SimError::SnapshotLength {
+                    field: "vm_obs_bits",
+                    found: 8,
+                    expected: 9,
+                },
+            ),
+            (
+                |s| s.on.push(true),
+                SimError::SnapshotLength {
+                    field: "on",
+                    found: 4,
+                    expected: 3,
+                },
+            ),
+            (
+                |s| s.pstate[2] = 99,
+                SimError::SnapshotEntry {
+                    field: "pstate",
+                    index: 2,
+                },
+            ),
+            (
+                |s| s.residents[0][0] = 7,
+                SimError::SnapshotEntry {
+                    field: "residents",
+                    index: 0,
+                },
+            ),
+            (
+                |s| s.residents.swap(0, 1),
+                SimError::SnapshotEntry {
+                    field: "residents",
+                    index: 0,
+                },
+            ),
+            (
+                |s| {
+                    s.placement = Placement::from_hosts(vec![ServerId(0), ServerId(9), ServerId(2)])
+                },
+                SimError::SnapshotEntry {
+                    field: "placement.host",
+                    index: 1,
+                },
+            ),
+        ];
+        let mut target = small_sim(&[0.3, 0.6, 0.9]);
+        target.step();
+        let before = target.snapshot();
+        for (edit, want) in edits {
+            let mut bad = good.clone();
+            edit(&mut bad);
+            assert_eq!(target.restore(&bad), Err(want));
+            assert_eq!(target.snapshot(), before);
+        }
+        target.restore(&good).unwrap();
+        assert_eq!(target.snapshot(), good);
     }
 
     #[test]

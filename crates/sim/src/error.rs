@@ -40,6 +40,23 @@ pub enum SimError {
     },
     /// A checkpointed event log could not be decoded.
     EventLog(EventLogError),
+    /// A checkpointed array does not have this simulation's length.
+    SnapshotLength {
+        /// The snapshot field.
+        field: &'static str,
+        /// Entries in the checkpoint.
+        found: usize,
+        /// Entries this simulation has.
+        expected: usize,
+    },
+    /// A checkpointed entry names a server, VM or P-state this
+    /// simulation does not have, or contradicts the placement.
+    SnapshotEntry {
+        /// The snapshot field.
+        field: &'static str,
+        /// Index of the offending entry within the field.
+        index: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -67,6 +84,18 @@ impl fmt::Display for SimError {
                 "{models} server models provided for a topology of {servers} servers"
             ),
             SimError::EventLog(e) => write!(f, "malformed checkpoint event log: {e}"),
+            SimError::SnapshotLength {
+                field,
+                found,
+                expected,
+            } => write!(
+                f,
+                "checkpoint field `{field}` has {found} entries, this simulation needs {expected}"
+            ),
+            SimError::SnapshotEntry { field, index } => write!(
+                f,
+                "checkpoint field `{field}` entry {index} does not fit this simulation"
+            ),
         }
     }
 }

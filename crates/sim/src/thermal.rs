@@ -79,6 +79,12 @@ impl ThermalState {
         }
     }
 
+    /// Lengths of the per-server temperature and failure arrays (a
+    /// checkpoint shape check).
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        (self.temps_c.len(), self.failed.len())
+    }
+
     /// The model parameters.
     pub fn config(&self) -> &ThermalConfig {
         &self.config

@@ -303,7 +303,7 @@ fn gen_deserialize(p: &Parsed) -> String {
                 fields.push_str(&format!("::serde::__private::index(__arr, {i})?,\n"));
             }
             format!(
-                "let __arr = __v.as_array().ok_or_else(|| ::serde::Error::msg(\
+                "let __arr = __v.elements().ok_or_else(|| ::serde::Error::msg(\
                  \"expected array for tuple struct {name}\"))?;\n\
                  ::std::result::Result::Ok({name}(\n{fields}))"
             )
@@ -350,7 +350,7 @@ fn gen_deserialize(p: &Parsed) -> String {
                             fields.push_str(&format!("::serde::__private::index(__arr, {i})?,\n"));
                         }
                         tag_arms.push_str(&format!(
-                            "{vn:?} => {{ let __arr = __payload.as_array().ok_or_else(|| \
+                            "{vn:?} => {{ let __arr = __payload.elements().ok_or_else(|| \
                              ::serde::Error::msg(\"expected array for variant {name}::{vn}\"))?;\n\
                              ::std::result::Result::Ok({name}::{vn}(\n{fields})) }}\n"
                         ));

@@ -460,6 +460,123 @@ fn misshapen_bus_state_is_rejected_without_touching_the_runner() {
 }
 
 #[test]
+fn misshapen_simulator_and_capper_state_is_rejected_without_touching_the_runner() {
+    use no_power_struggles::sim::{Placement, ServerId};
+
+    let cfg = stressed_config();
+    let mut source = Runner::new(&cfg);
+    for _ in 0..150 {
+        source.tick();
+    }
+    let good = source.snapshot();
+    type Edit = fn(&mut RunnerSnapshot);
+    let edits: [(&str, Edit); 15] = [
+        ("sim.vm_obs_bits partial tail", |s| {
+            s.sim.vm_obs_bits.pop();
+        }),
+        ("sim.vm_obs_bits extra observation", |s| {
+            s.sim.vm_obs_bits.extend([0, 0, 0]);
+        }),
+        ("sim.on short", |s| {
+            s.sim.on.pop();
+        }),
+        ("sim.pstate index out of range", |s| s.sim.pstate[0] = 99),
+        ("sim.mig_until short", |s| {
+            s.sim.mig_until.pop();
+        }),
+        ("sim.boot_until long", |s| s.sim.boot_until.push(0)),
+        ("sim.residents VM id out of range", |s| {
+            let vms = s.sim.placement.num_vms();
+            let list = s.sim.residents.iter_mut().find(|r| !r.is_empty()).unwrap();
+            list[0] = vms;
+        }),
+        ("sim.residents VM listed twice", |s| {
+            let list = s.sim.residents.iter_mut().find(|r| !r.is_empty()).unwrap();
+            let vm = list[0];
+            list.push(vm);
+        }),
+        ("sim.placement.host server out of range", |s| {
+            let servers = s.sim.on.len();
+            let mut hosts: Vec<ServerId> = s.sim.placement.iter().map(|(_, h)| h).collect();
+            hosts[0] = ServerId(servers);
+            s.sim.placement = Placement::from_hosts(hosts);
+        }),
+        ("sim.placement.host short", |s| {
+            let hosts = s.sim.placement.iter().map(|(_, h)| h).skip(1).collect();
+            s.sim.placement = Placement::from_hosts(hosts);
+        }),
+        ("sim.pstate_written_this_tick short", |s| {
+            s.sim.pstate_written_this_tick.pop();
+        }),
+        ("sim.cum_enc_power_bits long", |s| {
+            s.sim.cum_enc_power_bits.push(0)
+        }),
+        ("sim.util_bits short", |s| {
+            s.sim.util_bits.pop();
+        }),
+        ("gm.policy_state", |s| s.gm.policy_state.push(1)),
+        ("ems[0].policy_state", |s| s.ems[0].policy_state.push(1)),
+    ];
+
+    let mut target = Runner::new(&cfg);
+    for _ in 0..40 {
+        target.tick();
+    }
+    let before = state_json(&mut target);
+    for (field, edit) in edits {
+        let mut bad = good.clone();
+        edit(&mut bad);
+        let err = target
+            .restore(&bad)
+            .expect_err(&format!("{field} must be rejected"));
+        assert!(
+            matches!(err, no_power_struggles::core::CoreError::Checkpoint(_)),
+            "{field}: unexpected error: {err}"
+        );
+        assert_eq!(
+            state_json(&mut target),
+            before,
+            "a failed restore of {field} mutated the runner"
+        );
+    }
+    target
+        .restore(&good)
+        .expect("the intact checkpoint still restores");
+    assert_eq!(state_json(&mut target), state_json(&mut source));
+}
+
+/// FNV-1a of a text's bytes.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn checkpoint_text_is_pinned() {
+    // The JSON a fixed run's checkpoint is written as, hashed when the
+    // writer still formatted every number through `Display`: a change
+    // to the writer must not move a single byte.
+    const PINNED: u64 = 0x7885_ed11_afe1_c41c;
+    let mut runner = Runner::new(&stressed_config());
+    for _ in 0..150 {
+        runner.tick();
+    }
+    let text = state_json(&mut runner);
+    assert_eq!(
+        fnv1a(&text),
+        PINNED,
+        "checkpoint text of {} bytes moved",
+        text.len()
+    );
+    let parsed: RunnerSnapshot = serde_json::from_str(&text).expect("parses");
+    assert_eq!(
+        state_json(&mut Runner::resume(&stressed_config(), &parsed).unwrap()),
+        text
+    );
+}
+
+#[test]
 fn load_reports_an_older_format_version_before_mapping_fields() {
     let cfg = stressed_config();
     let mut runner = Runner::new(&cfg);

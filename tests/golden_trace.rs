@@ -114,21 +114,46 @@ fn diff_values(path: &str, golden: &Value, fresh: &Value, out: &mut Vec<String>)
                 }
             }
         }
-        (Value::Array(g), Value::Array(f)) => {
-            if g.len() != f.len() {
-                out.push(format!(
-                    "{path}: length changed, golden {} vs fresh {}",
-                    g.len(),
-                    f.len()
-                ));
+        (g, f) => match (g.elements(), f.elements()) {
+            // Arrays compare element-wise whether the parser packed them
+            // (all plain unsigned integers) or not.
+            (Some(ga), Some(fa)) => {
+                if ga.len() != fa.len() {
+                    out.push(format!(
+                        "{path}: length changed, golden {} vs fresh {}",
+                        ga.len(),
+                        fa.len()
+                    ));
+                }
+                for i in 0..ga.len().min(fa.len()) {
+                    let (gv, fv) = (ga.get(i).unwrap(), fa.get(i).unwrap());
+                    diff_values(&format!("{path}[{i}]"), &gv, &fv, out);
+                }
             }
-            for (i, (gv, fv)) in g.iter().zip(f.iter()).enumerate() {
-                diff_values(&format!("{path}[{i}]"), gv, fv, out);
-            }
-        }
-        (g, f) if g != f => out.push(format!("{path}: golden {g:?} vs fresh {f:?}")),
-        _ => {}
+            _ if g != f => out.push(format!("{path}: golden {g:?} vs fresh {f:?}")),
+            _ => {}
+        },
     }
+}
+
+#[test]
+fn diff_names_the_first_differing_array_index() {
+    let diff = |golden: &str, fresh: &str| {
+        let mut out = Vec::new();
+        let parse = |t: &str| serde::parse(t).expect("test JSON parses");
+        diff_values("$", &parse(golden), &parse(fresh), &mut out);
+        out
+    };
+    // Packed word arrays on both sides.
+    let out = diff(r#"{"a":[1,2,3]}"#, r#"{"a":[1,5,3]}"#);
+    assert_eq!(out, ["$.a[1]: golden UInt(2) vs fresh UInt(5)"]);
+    // A packed array against a general one, and a length change.
+    let out = diff("[[1,2,3]]", "[[1,2,-3,4]]");
+    assert_eq!(out.len(), 2, "{out:?}");
+    assert!(out[0].starts_with("$[0]: length changed, golden 3 vs fresh 4"));
+    assert_eq!(out[1], "$[0][2]: golden UInt(3) vs fresh Int(-3)");
+    assert!(diff("[1,2]", "[1,2]").is_empty());
+    assert!(diff("[]", "[]").is_empty());
 }
 
 /// Compares a freshly captured trace against the checked-in golden (or
