@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the controller hot paths: the per-tick EC step,
 //! the SM interval, P-state quantization, budget-division policies,
-//! grant delivery over the control bus, and the fixed-shape tree sum.
+//! grant delivery over the control bus, the fixed-shape tree sum, and
+//! the fault model's per-server sensor and actuator draws.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use nps_control::{
@@ -8,7 +9,9 @@ use nps_control::{
     ServerManager,
 };
 use nps_models::ServerModel;
-use nps_sim::{reduce, BusConfig, ControlBus, LinkId, RetryConfig};
+use nps_sim::{
+    reduce, BusConfig, ControlBus, FaultInjector, FaultPlan, LinkId, RetryConfig, SensorChannel,
+};
 use std::hint::black_box;
 
 fn bench_ec_step(c: &mut Criterion) {
@@ -120,6 +123,49 @@ fn bench_tree_sum(c: &mut Criterion) {
     group.finish();
 }
 
+/// One EC epoch's fault-model traffic on Server B 60HH (60 servers, 2
+/// enclosures, 20 standalone) at chaos60's rates: every server's
+/// utilization reading through `sense` (up to four counter draws each),
+/// and every P-state write through `pstate_write_blocked` (one draw).
+/// Divide by 60 for the per-reading cost. The tick advances every
+/// iteration, so stuck windows open and thaw as they do in a run.
+fn bench_fault_draws(c: &mut Criterion) {
+    const SERVERS: usize = 60;
+    let plan = FaultPlan::disabled()
+        .with_seed(7)
+        .with_sensor_noise(0.05)
+        .with_stuck_sensors(0.01, 20)
+        .with_dropped_samples(0.05)
+        .with_stuck_actuators(0.01, 20);
+    let mut group = c.benchmark_group("faults/sense");
+    group.bench_function("server_utilization_60", |b| {
+        let mut inj = FaultInjector::new(&plan, SERVERS, 2, 20);
+        let mut t = 0u64;
+        b.iter(|| {
+            t += 1;
+            let mut sum = 0.0;
+            for i in 0..SERVERS {
+                let reading = inj.sense(SensorChannel::ServerUtilization, i, t, 0.5);
+                sum += reading.value().unwrap_or(0.0);
+            }
+            black_box(sum)
+        });
+    });
+    group.bench_function("pstate_write_blocked_60", |b| {
+        let mut inj = FaultInjector::new(&plan, SERVERS, 2, 20);
+        let mut t = 0u64;
+        b.iter(|| {
+            t += 1;
+            let mut blocked = 0usize;
+            for i in 0..SERVERS {
+                blocked += usize::from(inj.pstate_write_blocked(i, t));
+            }
+            black_box(blocked)
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_ec_step,
@@ -128,6 +174,7 @@ criterion_group!(
     bench_policies,
     bench_capping_slope,
     bench_bus_grant,
-    bench_tree_sum
+    bench_tree_sum,
+    bench_fault_draws
 );
 criterion_main!(benches);

@@ -205,6 +205,7 @@ impl ControllerBank {
     // ----- efficiency controller -----------------------------------------
 
     /// Server `i`'s current utilization target.
+    #[inline]
     pub fn r_ref(&self, i: usize) -> f64 {
         self.r_ref[i]
     }
@@ -223,6 +224,7 @@ impl ControllerBank {
     /// One EC control step for server `i` — the same update as
     /// [`EfficiencyController::step`]: adaptive integral law on the
     /// continuous frequency, quantized to the nearest P-state.
+    #[inline]
     pub fn ec_step(&mut self, i: usize, measured_util: f64) -> PState {
         ec_step_core(
             &self.table,
@@ -245,6 +247,7 @@ impl ControllerBank {
     // ----- server manager -------------------------------------------------
 
     /// Server `i`'s static local budget `CAP_LOC`, watts.
+    #[inline]
     pub fn static_cap_watts(&self, i: usize) -> f64 {
         self.static_cap[i]
     }
@@ -252,6 +255,7 @@ impl ControllerBank {
     /// Grants server `i` a dynamic budget from the enclosure/group
     /// manager — identical to [`ServerManager::set_granted_cap`]. The
     /// grant carries no lease (it holds until replaced).
+    #[inline]
     pub fn set_granted_cap(&mut self, i: usize, watts: f64) {
         self.granted_cap[i] = watts.max(0.0);
         self.lease_until[i] = u64::MAX;
@@ -261,6 +265,7 @@ impl ControllerBank {
     /// the cap until tick `lease_until`, after which
     /// [`ControllerBank::expire_lease`] reverts the server to its static
     /// cap.
+    #[inline]
     pub fn set_granted_cap_leased(&mut self, i: usize, watts: f64, lease_until: u64) {
         self.granted_cap[i] = watts.max(0.0);
         self.lease_until[i] = lease_until;
@@ -268,6 +273,7 @@ impl ControllerBank {
 
     /// First tick server `i`'s grant stops being authorized
     /// (`u64::MAX` = unleased).
+    #[inline]
     pub fn lease_until(&self, i: usize) -> u64 {
         self.lease_until[i]
     }
@@ -276,6 +282,7 @@ impl ControllerBank {
     /// cap reverts to unlimited (so the effective cap falls back to
     /// `CAP_LOC`) and the lease clears. Returns whether an expiry
     /// happened.
+    #[inline]
     pub fn expire_lease(&mut self, i: usize, now: u64) -> bool {
         if now < self.lease_until[i] {
             return false;
@@ -294,6 +301,7 @@ impl ControllerBank {
 
     /// The budget server `i`'s SM enforces this epoch:
     /// `min(CAP_LOC, granted)`.
+    #[inline]
     pub fn effective_cap_watts(&self, i: usize) -> f64 {
         self.static_cap[i].min(self.granted_cap[i])
     }
@@ -301,6 +309,7 @@ impl ControllerBank {
     /// One **coordinated** SM interval for server `i` — the same update
     /// as [`ServerManager::step_coordinated`], retuning the bank's own
     /// EC `r_ref` slot.
+    #[inline]
     pub fn sm_step_coordinated(&mut self, i: usize, measured_power_watts: f64) -> SmDecision {
         sm_step_coordinated_core(
             &self.table,
@@ -316,6 +325,7 @@ impl ControllerBank {
 
     /// One **uncoordinated** SM interval for server `i` — the same update
     /// as [`ServerManager::step_uncoordinated`].
+    #[inline]
     pub fn sm_step_uncoordinated(
         &mut self,
         i: usize,
@@ -458,12 +468,14 @@ pub struct BankShard<'a> {
 impl BankShard<'_> {
     /// Server `i`'s current utilization target (`i` is global; must lie
     /// in this shard).
+    #[inline]
     pub fn r_ref(&self, i: usize) -> f64 {
         self.r_ref[i - self.lo]
     }
 
     /// The budget server `i`'s SM enforces this epoch —
     /// identical to [`ControllerBank::effective_cap_watts`].
+    #[inline]
     pub fn effective_cap_watts(&self, i: usize) -> f64 {
         self.static_cap[i - self.lo].min(self.granted_cap[i - self.lo])
     }
@@ -471,6 +483,7 @@ impl BankShard<'_> {
     /// Grants server `i` an unleased dynamic budget — identical to
     /// [`ControllerBank::set_granted_cap`]. Lets a shard apply the
     /// enclosure-outage local-cap fallback to its own servers.
+    #[inline]
     pub fn set_granted_cap(&mut self, i: usize, watts: f64) {
         let k = i - self.lo;
         self.granted_cap[k] = watts.max(0.0);
@@ -479,6 +492,7 @@ impl BankShard<'_> {
 
     /// One EC control step for server `i` — bit-identical to
     /// [`ControllerBank::ec_step`] (same core function).
+    #[inline]
     pub fn ec_step(&mut self, i: usize, measured_util: f64) -> PState {
         let k = i - self.lo;
         ec_step_core(
@@ -494,6 +508,7 @@ impl BankShard<'_> {
 
     /// One coordinated SM interval for server `i` — bit-identical to
     /// [`ControllerBank::sm_step_coordinated`].
+    #[inline]
     pub fn sm_step_coordinated(&mut self, i: usize, measured_power_watts: f64) -> SmDecision {
         let k = i - self.lo;
         sm_step_coordinated_core(
@@ -510,6 +525,7 @@ impl BankShard<'_> {
 
     /// One uncoordinated SM interval for server `i` — bit-identical to
     /// [`ControllerBank::sm_step_uncoordinated`].
+    #[inline]
     pub fn sm_step_uncoordinated(
         &mut self,
         i: usize,

@@ -47,6 +47,7 @@ impl ElectricalCapper {
     /// If no state is safe, returns the desired state unchanged (the
     /// budget is unsatisfiable with P-states alone; the deployment must
     /// shed load instead).
+    #[inline]
     pub fn clamp(&self, desired: PState) -> PState {
         match self.min_index {
             Some(min) => PState(desired.index().max(min)),

@@ -112,6 +112,9 @@ pub struct Runner {
     sm_hold: Vec<Option<PState>>,
     // Static caps.
     cap_loc: Vec<f64>,
+    /// Servers whose `cap_loc` is below their deepest P-state's
+    /// full-load power, ascending. Fixed at construction.
+    cap_floor_violators: Vec<usize>,
     cap_enc: Vec<f64>,
     cap_grp: f64,
     // Runner-owned CSR copy of the enclosure membership, so the EM/GM
@@ -292,6 +295,9 @@ impl Runner {
         let num_vms = cfg.traces.len();
         let cap_loc: Vec<f64> = (0..n)
             .map(|i| (1.0 - cfg.budgets.local_off) * models[i].max_power())
+            .collect();
+        let cap_floor_violators: Vec<usize> = (0..n)
+            .filter(|&i| cap_loc[i] < models[i].power(models[i].deepest().index(), 1.0) - 1e-9)
             .collect();
         // Capacity sums run through the fixed-shape reduction tree like
         // every other fleet-indexed aggregate (one reduction story).
@@ -542,6 +548,7 @@ impl Runner {
             elec,
             sm_hold: vec![None; n],
             cap_loc,
+            cap_floor_violators,
             cap_enc,
             cap_grp,
             enc_offsets,
@@ -1208,14 +1215,15 @@ impl Runner {
             self.elec = Some(elec);
         }
         // Floor operating point: every static local cap admits the
-        // deepest P-state at full utilization.
-        for i in 0..self.models.len() {
-            self.istats.checks += 1;
-            let floor = self.models[i].power(self.models[i].deepest().index(), 1.0);
-            if self.cap_loc[i] < floor - 1e-9 {
-                self.invariant_violation(InvariantKind::ServerCapFloor, i);
-            }
+        // deepest P-state at full utilization. Both sides are fixed at
+        // construction, so the verdict is too: each sweep counts one
+        // check per server and re-reports the same servers, ascending.
+        self.istats.checks += self.models.len() as u64;
+        let floor_violators = std::mem::take(&mut self.cap_floor_violators);
+        for &i in &floor_violators {
+            self.invariant_violation(InvariantKind::ServerCapFloor, i);
         }
+        self.cap_floor_violators = floor_violators;
         // Lease discipline: an unleased child holds no finite grant, and
         // a finite grant's lease is unexpired (the expiry sweep at the
         // top of `act` reverted anything older).
@@ -3712,13 +3720,13 @@ impl RunnerSnapshot {
             writer.flush()?;
             writer.into_inner().map_err(|e| e.into_error())?.sync_all()
         })();
-        match write {
-            Ok(()) => std::fs::rename(&tmp, path),
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                Err(e)
-            }
+        // A failed write or a failed rename (e.g. `path` is a non-empty
+        // directory) must not leave the temp file behind.
+        let saved = write.and_then(|()| std::fs::rename(&tmp, path));
+        if saved.is_err() {
+            let _ = std::fs::remove_file(&tmp);
         }
+        saved
     }
 
     /// Reads a checkpoint previously written by [`RunnerSnapshot::save`].

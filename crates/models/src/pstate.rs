@@ -15,6 +15,7 @@ impl PState {
     pub const P0: PState = PState(0);
 
     /// Returns the raw index of this state.
+    #[inline]
     pub fn index(self) -> usize {
         self.0
     }

@@ -536,6 +536,7 @@ impl Simulation {
     // ----- sensors --------------------------------------------------------
 
     /// Last-tick CPU utilization of `s` (fraction of *current* capacity).
+    #[inline]
     pub fn server_utilization(&self, s: ServerId) -> f64 {
         self.util[s.index()]
     }
@@ -562,6 +563,7 @@ impl Simulation {
 
     /// Cumulative enclosure power (W·ticks since construction), including
     /// the enclosure base power.
+    #[inline]
     pub fn cumulative_enclosure_power(&self, e: EnclosureId) -> f64 {
         self.cum_enc_power[e.index()]
     }
@@ -574,11 +576,13 @@ impl Simulation {
 
     /// Cumulative power of `s` (W·ticks since construction). Diff two
     /// readings to average over a controller epoch.
+    #[inline]
     pub fn cumulative_power(&self, s: ServerId) -> f64 {
         self.cum_power[s.index()]
     }
 
     /// Cumulative utilization of `s` (util·ticks since construction).
+    #[inline]
     pub fn cumulative_utilization(&self, s: ServerId) -> f64 {
         self.cum_util[s.index()]
     }
@@ -614,6 +618,7 @@ impl Simulation {
     /// server it consumed last tick. This is what the coordinated VMC
     /// uses ("consider the real utilization instead of the apparent
     /// utilization", paper §3.1).
+    #[inline]
     pub fn real_vm_utilization(&self, vm: VmId) -> f64 {
         self.vm_obs[vm.index()].granted
     }
@@ -622,6 +627,7 @@ impl Simulation {
     /// (possibly throttled) capacity — what a naive VMC reads from the
     /// guest OS. On a server at a deep P-state this overstates the VM
     /// relative to full speed.
+    #[inline]
     pub fn apparent_vm_utilization(&self, vm: VmId) -> f64 {
         let host = self.placement.host_of(vm);
         let cap = if self.is_on(host) {
@@ -651,12 +657,14 @@ impl Simulation {
     // ----- actuators ------------------------------------------------------
 
     /// Current P-state of `s`.
+    #[inline]
     pub fn pstate(&self, s: ServerId) -> PState {
         self.pstate[s.index()]
     }
 
     /// Writes the P-state of `s`. Multiple writes within the same tick are
     /// last-writer-wins; differing repeat writes are counted as conflicts.
+    #[inline]
     pub fn set_pstate(&mut self, s: ServerId, p: PState) {
         let i = s.index();
         let p = PState(p.index().min(self.models[i].num_pstates() - 1));
@@ -670,6 +678,7 @@ impl Simulation {
     }
 
     /// Whether `s` is powered on and has not tripped thermal failover.
+    #[inline]
     pub fn is_on(&self, s: ServerId) -> bool {
         let i = s.index();
         self.on[i]
@@ -1058,27 +1067,32 @@ pub struct SimEpochView<'a> {
 
 impl SimEpochView<'_> {
     /// Same as [`Simulation::is_on`].
+    #[inline]
     pub fn is_on(&self, s: ServerId) -> bool {
         let i = s.index();
         self.on[i] && self.thermal.map(|t| !t.is_failed(i)).unwrap_or(true)
     }
 
     /// Same as [`Simulation::server_utilization`].
+    #[inline]
     pub fn server_utilization(&self, s: ServerId) -> f64 {
         self.util[s.index()]
     }
 
     /// Same as [`Simulation::cumulative_power`].
+    #[inline]
     pub fn cumulative_power(&self, s: ServerId) -> f64 {
         self.cum_power[s.index()]
     }
 
     /// Same as [`Simulation::cumulative_enclosure_power`].
+    #[inline]
     pub fn cumulative_enclosure_power(&self, e: EnclosureId) -> f64 {
         self.cum_enc_power[e.index()]
     }
 
     /// Same as [`Simulation::cumulative_utilization`].
+    #[inline]
     pub fn cumulative_utilization(&self, s: ServerId) -> f64 {
         self.cum_util[s.index()]
     }
@@ -1105,11 +1119,13 @@ pub struct VmView<'a> {
 
 impl VmView<'_> {
     /// Same as [`Simulation::real_vm_utilization`].
+    #[inline]
     pub fn real_vm_utilization(&self, vm: VmId) -> f64 {
         self.obs[vm.index()].granted
     }
 
     /// Same as [`Simulation::apparent_vm_utilization`].
+    #[inline]
     pub fn apparent_vm_utilization(&self, vm: VmId) -> f64 {
         let host = self.placement.host_of(vm);
         let i = host.index();
@@ -1146,6 +1162,7 @@ pub struct ActuatorShard<'a> {
 impl ActuatorShard<'_> {
     /// Current P-state of `s` (must lie in this shard) — same as
     /// [`Simulation::pstate`].
+    #[inline]
     pub fn pstate(&self, s: ServerId) -> PState {
         self.pstate[s.index() - self.lo]
     }
@@ -1154,6 +1171,7 @@ impl ActuatorShard<'_> {
     /// [`Simulation::set_pstate`] (clamp to the model's deepest state,
     /// last-writer-wins, conflicting repeat writes counted), with the
     /// conflict event buffered locally instead of logged globally.
+    #[inline]
     pub fn set_pstate(&mut self, s: ServerId, p: PState) {
         let k = s.index() - self.lo;
         let p = PState(p.index().min(self.table.num_pstates(s.index()) - 1));

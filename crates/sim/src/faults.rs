@@ -163,6 +163,7 @@ pub struct OutageWindow {
 
 impl OutageWindow {
     /// Whether instance `index` of `layer` is down at `tick`.
+    #[inline]
     pub fn covers(&self, layer: ControllerLayer, index: usize, tick: u64) -> bool {
         self.layer == layer
             && self.index.unwrap_or(index) == index
@@ -361,6 +362,7 @@ impl SensorState {
     }
 
     /// First slot of `channel` in the concatenated layout.
+    #[inline]
     fn base(&self, channel: SensorChannel) -> usize {
         match channel {
             SensorChannel::ServerPower => 0,
@@ -371,6 +373,7 @@ impl SensorState {
     }
 
     /// Number of slots `channel` owns.
+    #[inline]
     fn cap(&self, channel: SensorChannel) -> usize {
         match channel {
             SensorChannel::ServerPower | SensorChannel::ServerUtilization => self.num_servers,
@@ -380,6 +383,7 @@ impl SensorState {
     }
 
     /// Global slot of `(channel, index)`.
+    #[inline]
     fn slot(&self, channel: SensorChannel, index: usize) -> usize {
         debug_assert!(
             index < self.cap(channel),
@@ -409,6 +413,7 @@ impl SensorState {
 /// gated on its rate so disabled families take no draws. Draws come from
 /// the slot's private counter stream, so the verdict depends only on how
 /// many draws this slot has taken.
+#[inline]
 #[allow(clippy::too_many_arguments)]
 fn sense_slot(
     rng: CounterRng,
@@ -556,6 +561,7 @@ impl FaultInjector {
     }
 
     /// Routes one sensor reading through the fault model.
+    #[inline]
     pub fn sense(
         &mut self,
         channel: SensorChannel,
@@ -588,6 +594,7 @@ impl FaultInjector {
     /// servers or sensor channels did in between. That is what lets the
     /// conditional "draw only when a write happens" pattern run inside
     /// parallel shards while staying bit-identical to sequential order.
+    #[inline]
     pub fn pstate_write_blocked(&mut self, server: usize, tick: u64) -> bool {
         if !self.actuator_on || server >= self.stuck_actuators.len() {
             return false;
@@ -742,6 +749,7 @@ impl FaultInjector {
     /// stream: the verdict depends only on how many grants that link has
     /// carried, never on what other links did in between, so the grant
     /// replay of the parallel EM reduction needs no sequential pre-pass.
+    #[inline]
     pub fn budget_message_lost(&mut self, link: usize) -> bool {
         if !self.messages_on || link >= self.message_ctr.len() {
             return false;
@@ -757,6 +765,7 @@ impl FaultInjector {
     /// The invariant monitor uses this to exempt servers whose actuator
     /// is known-stuck (an injected plant fault, already counted in the
     /// fault stats) from the electrical-cap check.
+    #[inline]
     pub fn actuator_jammed(&self, server: usize, tick: u64) -> bool {
         self.stuck_actuators
             .get(server)
@@ -764,6 +773,7 @@ impl FaultInjector {
     }
 
     /// Whether instance `index` of `layer` is offline at `tick`.
+    #[inline]
     pub fn offline(&self, layer: ControllerLayer, index: usize, tick: u64) -> bool {
         self.plan
             .outages
@@ -911,6 +921,7 @@ pub struct ActuatorDrawShard<'a> {
 impl ActuatorDrawShard<'_> {
     /// Shard-local replica of [`FaultInjector::pstate_write_blocked`]
     /// for `server` (a global index inside this shard's range).
+    #[inline]
     pub fn pstate_write_blocked(&mut self, server: usize, tick: u64) -> bool {
         if !self.active {
             return false;
@@ -951,6 +962,7 @@ pub struct SensorDrawShard<'a> {
 impl SensorDrawShard<'_> {
     /// Shard-local replica of [`FaultInjector::sense`] for `index` (a
     /// channel-space index inside this shard's range).
+    #[inline]
     pub fn sense(&mut self, index: usize, tick: u64, value: f64) -> Reading {
         if !self.active {
             return Reading::Clean(value);

@@ -10,6 +10,7 @@ macro_rules! id_type {
 
         impl $name {
             /// The raw index.
+            #[inline]
             pub fn index(self) -> usize {
                 self.0
             }

@@ -50,6 +50,7 @@ impl Placement {
     /// # Panics
     ///
     /// Panics if `vm` is out of range.
+    #[inline]
     pub fn host_of(&self, vm: VmId) -> ServerId {
         self.host[vm.0]
     }

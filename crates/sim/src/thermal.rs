@@ -115,6 +115,7 @@ impl ThermalState {
     }
 
     /// Whether server `i` has tripped thermal failover.
+    #[inline]
     pub fn is_failed(&self, i: usize) -> bool {
         self.failed[i]
     }

@@ -195,6 +195,7 @@ pub mod rngs {
     }
 
     /// One round of the SplitMix64 output finalizer (no state advance).
+    #[inline]
     fn mix64(mut z: u64) -> u64 {
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
@@ -213,6 +214,7 @@ pub mod rngs {
         }
 
         /// The 64 bits at `(stream, counter)`.
+        #[inline]
         pub fn u64_at(&self, stream: u64, counter: u64) -> u64 {
             let z = self
                 .seed
@@ -226,11 +228,13 @@ pub mod rngs {
         /// probability comparisons behave identically to `gen_bool`.
         ///
         /// [`StandardSample`]: crate::StandardSample
+        #[inline]
         pub fn f64_at(&self, stream: u64, counter: u64) -> f64 {
             (self.u64_at(stream, counter) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
         }
 
         /// `true` with probability `p` at `(stream, counter)`.
+        #[inline]
         pub fn bool_at(&self, stream: u64, counter: u64, p: f64) -> bool {
             self.f64_at(stream, counter) < p
         }
@@ -357,6 +361,76 @@ mod tests {
         }
         // bool_at agrees with the f64 threshold construction.
         assert_eq!(r.bool_at(2, 9, 0.5), r.f64_at(2, 9) < 0.5);
+    }
+
+    // Known-answer tests. Every golden trace depends on these two
+    // streams, so a change to the generators (or to the draw chain built
+    // on them) fails here before it reaches a golden diff.
+
+    #[test]
+    fn std_rng_known_answers() {
+        use super::RngCore;
+        let cases: [(u64, [u64; 4]); 2] = [
+            (
+                0,
+                [
+                    0x53175d61490b23df,
+                    0x61da6f3dc380d507,
+                    0x5c0fdf91ec9a7bfc,
+                    0x02eebf8c3bbe5e1a,
+                ],
+            ),
+            (
+                42,
+                [
+                    0xd0764d4f4476689f,
+                    0x519e4174576f3791,
+                    0xfbe07cfb0c24ed8c,
+                    0xb37d9f600cd835b8,
+                ],
+            ),
+        ];
+        for (seed, expected) in cases {
+            let mut r = StdRng::seed_from_u64(seed);
+            let got = [r.next_u64(), r.next_u64(), r.next_u64(), r.next_u64()];
+            assert_eq!(got, expected, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn counter_rng_known_answers() {
+        use super::rngs::CounterRng;
+        // (seed, stream, counter) → (u64_at, f64_at bits).
+        let cases: [((u64, u64, u64), u64, u64); 5] = [
+            ((0, 0, 0), 0x2d266b3b442d7c74, 0x3fc693359da216bc),
+            ((7, 3, 0), 0xcf9921220a96bb85, 0x3fe9f324244152d7),
+            ((7, 3, 1), 0x377ee4c37601929a, 0x3fcbbf7261bb00c8),
+            ((99, 60, 12345), 0x2fc9c8410c024ee4, 0x3fc7e4e420860124),
+            (
+                (u64::MAX, u64::MAX, u64::MAX),
+                0x4bffd802ebfb15e4,
+                0x3fd2fff600bafec4,
+            ),
+        ];
+        for ((seed, stream, ctr), word, unit_bits) in cases {
+            let r = CounterRng::new(seed);
+            let at = (seed, stream, ctr);
+            assert_eq!(r.u64_at(stream, ctr), word, "u64_at {at:?}");
+            let u = r.f64_at(stream, ctr);
+            assert_eq!(u.to_bits(), unit_bits, "f64_at {at:?}");
+            // bool_at is a strict `<` against the same uniform.
+            assert!(
+                !r.bool_at(stream, ctr, u),
+                "bool_at {at:?} at its own value"
+            );
+            assert!(
+                r.bool_at(stream, ctr, f64::from_bits(unit_bits + 1)),
+                "bool_at {at:?} just above"
+            );
+        }
+        let r = CounterRng::new(7);
+        assert!(!r.bool_at(3, 0, 0.5));
+        assert!(r.bool_at(3, 1, 0.5));
     }
 
     #[test]

@@ -612,3 +612,25 @@ fn load_reports_an_older_format_version_before_mapping_fields() {
         "unexpected error: {core}"
     );
 }
+
+#[test]
+fn failed_save_onto_a_directory_leaves_no_temp_file() {
+    let parent = std::env::temp_dir().join(format!("nps-save-onto-dir-{}", std::process::id()));
+    let target = parent.join("ck.json");
+    std::fs::create_dir_all(target.join("occupied")).expect("creates the blocking directory");
+    let mut runner = Runner::new(&quiet_config());
+    // The temp file is written in full; the final rename onto a
+    // non-empty directory then fails.
+    let saved = runner.snapshot().save(&target);
+    let mut left: Vec<String> = std::fs::read_dir(&parent)
+        .expect("lists the parent")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    left.sort();
+    std::fs::remove_dir_all(&parent).ok();
+    assert!(
+        saved.is_err(),
+        "saving onto a non-empty directory must fail"
+    );
+    assert_eq!(left, ["ck.json"], "only the blocking directory may remain");
+}

@@ -235,3 +235,62 @@ fn monitor_does_not_perturb_the_trajectory() {
     let on = serde_json::to_string(&snap_on).expect("snapshot serializes");
     assert_eq!(off, on, "monitor perturbed the checkpoint");
 }
+
+/// A local budget below the deepest P-state's full-load power can never
+/// be met. Server B's floor is 235 of 300 W and Blade A's is 78 of
+/// 120 W, so a 30%-off local budget strands exactly the 20 standalone
+/// Server B machines of a heterogeneous 60-server fleet (ids 40..60).
+/// The sweep must flag each of them on every tick, in ascending order.
+/// The check count was recorded with the sweep that re-derived the
+/// verdict from the models on every tick.
+#[test]
+fn unsatisfiable_local_caps_flag_the_floor_every_tick_in_order() {
+    let horizon = 120u64;
+    let cfg = Scenario::paper(SystemKind::BladeA, Mix::L60, CoordinationMode::Coordinated)
+        .heterogeneous()
+        .budgets(BudgetSpec {
+            group_off: 0.30,
+            enclosure_off: 0.30,
+            local_off: 0.30,
+        })
+        .electrical_cap(0.9)
+        .bus(BusConfig::default().with_seed(5).with_leases(30))
+        .horizon(horizon)
+        .seed(19)
+        .invariants(true)
+        .build();
+    let mut runner = Runner::new(&cfg);
+    runner.enable_ring_telemetry(1 << 16);
+    runner.run_to_horizon();
+    let istats = runner.invariant_stats();
+    // Tick 0 only steps the plant; every later tick is swept.
+    assert_eq!(istats.server_cap_floor, 20 * (horizon - 1));
+    assert_eq!(istats.checks, 21_668, "{istats}");
+    assert_eq!(
+        (
+            istats.electrical_cap,
+            istats.lease_bound,
+            istats.budget_conservation
+        ),
+        (0, 0, 0),
+        "{istats}"
+    );
+
+    let ring = runner.ring_telemetry().expect("ring telemetry enabled");
+    assert_eq!(ring.dropped(), 0, "the ring must hold the whole run");
+    let violations: Vec<(u64, InvariantKind, usize)> = ring
+        .events()
+        .filter_map(|ev| match *ev {
+            TelemetryEvent::InvariantViolated {
+                tick,
+                invariant,
+                index,
+            } => Some((tick, invariant, index)),
+            _ => None,
+        })
+        .collect();
+    let expected: Vec<(u64, InvariantKind, usize)> = (1..horizon)
+        .flat_map(|t| (40..60).map(move |i| (t, InvariantKind::ServerCapFloor, i)))
+        .collect();
+    assert_eq!(violations, expected);
+}
