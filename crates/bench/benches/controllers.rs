@@ -50,18 +50,29 @@ fn bench_policies(c: &mut Criterion) {
     let consumption: Vec<f64> = (0..60).map(|i| 50.0 + (i % 7) as f64 * 20.0).collect();
     let caps = vec![270.0; 60];
     let mut group = c.benchmark_group("policy_divide_60_children");
+    // Into a reused buffer, as the EM and GM epochs divide.
+    let mut out = Vec::new();
     group.bench_function("proportional", |b| {
         let mut p = ProportionalShare;
-        b.iter(|| black_box(p.divide(9_000.0, &consumption, &caps)));
+        b.iter(|| {
+            p.divide_into(9_000.0, &consumption, &caps, &mut out);
+            black_box(out[0])
+        });
     });
     group.bench_function("fair", |b| {
         let mut p = FairShare;
-        b.iter(|| black_box(p.divide(9_000.0, &consumption, &caps)));
+        b.iter(|| {
+            p.divide_into(9_000.0, &consumption, &caps, &mut out);
+            black_box(out[0])
+        });
     });
     group.bench_function("history", |b| {
         b.iter_batched(
             || HistoryWeighted::new(0.3),
-            |mut p| black_box(p.divide(9_000.0, &consumption, &caps)),
+            |mut p| {
+                p.divide_into(9_000.0, &consumption, &caps, &mut out);
+                black_box(out[0])
+            },
             BatchSize::SmallInput,
         );
     });
@@ -76,9 +87,10 @@ fn bench_capping_slope(c: &mut Criterion) {
 }
 
 /// One GM epoch's grants on `paper180` (120 EM→blade + 66 GM→child
-/// links): `send` on every link, then one `poll_into` into a reused
-/// buffer. With retries on, every delivery also queues and routes an
-/// ack.
+/// links) into a reused event buffer. `send_into/*` is the runner's path:
+/// one `send_into` per grant, delivered at send time. `queued/*` keeps
+/// the queue's cost in view: `send` on every link, then one `poll_into`.
+/// With retries on, every delivery is also acked.
 fn bench_bus_grant(c: &mut Criterion) {
     const LINKS: usize = 186;
     let retrying = BusConfig::passthrough().with_retry(RetryConfig {
@@ -86,26 +98,39 @@ fn bench_bus_grant(c: &mut Criterion) {
         ..RetryConfig::default()
     });
     let mut group = c.benchmark_group("bus/passthrough_grant");
-    for (name, cfg) in [
+    for (retries, cfg) in [
         ("retries_off", BusConfig::passthrough()),
         ("retries_on", retrying),
     ] {
-        group.bench_function(name, |b| {
-            let mut bus = ControlBus::new(&cfg);
-            for _ in 0..LINKS {
-                bus.register_link();
-            }
-            let mut events = Vec::new();
-            let mut t = 0u64;
-            b.iter(|| {
-                for l in 0..LINKS {
-                    bus.send(LinkId(l), 100.0 + l as f64, t, false);
+        for queued in [false, true] {
+            let path = if queued { "queued" } else { "send_into" };
+            group.bench_function(format!("{path}/{retries}"), |b| {
+                let mut bus = ControlBus::new(&cfg);
+                for _ in 0..LINKS {
+                    bus.register_link();
                 }
-                bus.poll_into(t, &mut events);
-                t += 1;
-                black_box(events.len())
+                let mut events = Vec::new();
+                let mut t = 0u64;
+                b.iter(|| {
+                    let mut delivered = 0;
+                    for l in 0..LINKS {
+                        let watts = 100.0 + l as f64;
+                        if queued {
+                            bus.send(LinkId(l), watts, t, false);
+                        } else {
+                            bus.send_into(LinkId(l), watts, t, false, &mut events);
+                            delivered += events.len();
+                        }
+                    }
+                    if queued {
+                        bus.poll_into(t, &mut events);
+                        delivered = events.len();
+                    }
+                    t += 1;
+                    black_box(delivered)
+                });
             });
-        });
+        }
     }
     group.finish();
 }

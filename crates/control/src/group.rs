@@ -124,19 +124,33 @@ impl GroupCapper {
     }
 
     /// One epoch: re-provisions the effective budget across children given
-    /// their last-epoch consumptions and static caps. Returns each child's
-    /// budget for the next epoch (already `min`-ed with its static cap).
+    /// their last-epoch consumptions and static caps. Replaces `out` with
+    /// each child's budget for the next epoch (already `min`-ed with its
+    /// static cap); a reused `out` makes the epoch allocation-free.
+    pub fn reallocate_into(
+        &mut self,
+        consumption_watts: &[f64],
+        child_static_caps_watts: &[f64],
+        out: &mut Vec<f64>,
+    ) {
+        debug_assert_eq!(consumption_watts.len(), child_static_caps_watts.len());
+        self.policy.divide_into(
+            self.effective_cap_watts(),
+            consumption_watts,
+            child_static_caps_watts,
+            out,
+        );
+    }
+
+    /// [`GroupCapper::reallocate_into`] into a fresh vector.
     pub fn reallocate(
         &mut self,
         consumption_watts: &[f64],
         child_static_caps_watts: &[f64],
     ) -> Vec<f64> {
-        debug_assert_eq!(consumption_watts.len(), child_static_caps_watts.len());
-        self.policy.divide(
-            self.effective_cap_watts(),
-            consumption_watts,
-            child_static_caps_watts,
-        )
+        let mut out = Vec::with_capacity(consumption_watts.len());
+        self.reallocate_into(consumption_watts, child_static_caps_watts, &mut out);
+        out
     }
 
     /// Name of the active division policy.

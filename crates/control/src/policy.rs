@@ -21,14 +21,28 @@ pub trait BudgetPolicy: std::fmt::Debug + Send {
     fn name(&self) -> &'static str;
 
     /// Divides `total_watts` among children given their last-interval
-    /// `consumption_watts` and per-child `static_caps_watts`. Returns one
-    /// effective cap per child.
+    /// `consumption_watts` and per-child `static_caps_watts`, replacing
+    /// `out` with one effective cap per child. A caller that reuses `out`
+    /// divides without allocating once it has grown to the child count.
+    fn divide_into(
+        &mut self,
+        total_watts: f64,
+        consumption_watts: &[f64],
+        static_caps_watts: &[f64],
+        out: &mut Vec<f64>,
+    );
+
+    /// [`BudgetPolicy::divide_into`] into a fresh vector.
     fn divide(
         &mut self,
         total_watts: f64,
         consumption_watts: &[f64],
         static_caps_watts: &[f64],
-    ) -> Vec<f64>;
+    ) -> Vec<f64> {
+        let mut out = Vec::with_capacity(consumption_watts.len());
+        self.divide_into(total_watts, consumption_watts, static_caps_watts, &mut out);
+        out
+    }
 
     /// The policy's mutable state as opaque `u64` words, for
     /// checkpointing (floats bit-packed via [`f64::to_bits`]). Stateless
@@ -49,24 +63,30 @@ pub trait BudgetPolicy: std::fmt::Debug + Send {
     }
 }
 
-fn proportional(total: f64, weights: &[f64], static_caps: &[f64]) -> Vec<f64> {
-    let sum: f64 = weights.iter().sum();
+/// `cap_i = min(CAP_i, total · w_i / Σ w)` into `out`; fair share when
+/// no weight is positive.
+fn proportional(
+    total: f64,
+    weights: impl ExactSizeIterator<Item = f64> + Clone,
+    static_caps: &[f64],
+    out: &mut Vec<f64>,
+) {
+    out.clear();
     let n = weights.len();
     if n == 0 {
-        return Vec::new();
+        return;
     }
+    let sum: f64 = weights.clone().sum();
     if sum <= 0.0 {
         // Nothing measured yet: fall back to fair share.
-        return static_caps
-            .iter()
-            .map(|&c| c.min(total / n as f64))
-            .collect();
+        out.extend(static_caps.iter().map(|&c| c.min(total / n as f64)));
+        return;
     }
-    weights
-        .iter()
-        .zip(static_caps)
-        .map(|(&w, &c)| c.min(total * w / sum))
-        .collect()
+    out.extend(
+        weights
+            .zip(static_caps)
+            .map(|(w, &c)| c.min(total * w / sum)),
+    );
 }
 
 /// The paper's base policy: each child's share is proportional to its
@@ -80,8 +100,8 @@ impl BudgetPolicy for ProportionalShare {
         "proportional-share"
     }
 
-    fn divide(&mut self, total: f64, consumption: &[f64], static_caps: &[f64]) -> Vec<f64> {
-        proportional(total, consumption, static_caps)
+    fn divide_into(&mut self, total: f64, consumption: &[f64], caps: &[f64], out: &mut Vec<f64>) {
+        proportional(total, consumption.iter().copied(), caps, out);
     }
 }
 
@@ -94,30 +114,28 @@ impl BudgetPolicy for FairShare {
         "fair-share"
     }
 
-    fn divide(&mut self, total: f64, consumption: &[f64], static_caps: &[f64]) -> Vec<f64> {
+    fn divide_into(&mut self, total: f64, consumption: &[f64], caps: &[f64], out: &mut Vec<f64>) {
         // Equal shares among *active* consumers; powered-off children
         // would otherwise silently starve the live ones.
-        let active: Vec<usize> = active_children(consumption);
-        let n = active.len().max(1) as f64;
-        let mut out = vec![0.0; consumption.len()];
-        for i in active {
-            out[i] = static_caps[i].min(total / n);
-        }
-        out
+        let is_active = active(consumption);
+        let n = consumption.len();
+        let share = total / (0..n).filter(|&i| is_active(i)).count().max(1) as f64;
+        out.clear();
+        out.extend((0..n).map(|i| {
+            if is_active(i) {
+                caps[i].min(share)
+            } else {
+                0.0
+            }
+        }));
     }
 }
 
-/// Children that consumed measurable power last interval (all of them if
-/// nothing was measured yet).
-fn active_children(consumption: &[f64]) -> Vec<usize> {
-    let active: Vec<usize> = (0..consumption.len())
-        .filter(|&i| consumption[i] > 1e-9)
-        .collect();
-    if active.is_empty() {
-        (0..consumption.len()).collect()
-    } else {
-        active
-    }
+/// Whether child `i` consumed measurable power last interval (every child
+/// counts when nothing was measured yet).
+fn active(consumption: &[f64]) -> impl Fn(usize) -> bool + '_ {
+    let measured = consumption.iter().any(|&c| c > 1e-9);
+    move |i| !measured || consumption[i] > 1e-9
 }
 
 /// First-come-first-served in child id order: each child receives up to
@@ -130,13 +148,8 @@ impl BudgetPolicy for Fifo {
         "fifo"
     }
 
-    fn divide(&mut self, total: f64, consumption: &[f64], static_caps: &[f64]) -> Vec<f64> {
-        sequential(
-            total,
-            consumption.len(),
-            static_caps,
-            (0..consumption.len()).collect(),
-        )
+    fn divide_into(&mut self, total: f64, consumption: &[f64], caps: &[f64], out: &mut Vec<f64>) {
+        sequential(total, consumption.len(), caps, 0..consumption.len(), out);
     }
 }
 
@@ -144,6 +157,8 @@ impl BudgetPolicy for Fifo {
 #[derive(Debug)]
 pub struct RandomOrder {
     rng: StdRng,
+    /// Reused shuffle buffer (its contents are rebuilt every division).
+    order: Vec<usize>,
 }
 
 impl RandomOrder {
@@ -151,6 +166,7 @@ impl RandomOrder {
     pub fn new(seed: u64) -> Self {
         Self {
             rng: StdRng::seed_from_u64(seed),
+            order: Vec::new(),
         }
     }
 }
@@ -160,10 +176,12 @@ impl BudgetPolicy for RandomOrder {
         "random-order"
     }
 
-    fn divide(&mut self, total: f64, consumption: &[f64], static_caps: &[f64]) -> Vec<f64> {
-        let mut order: Vec<usize> = (0..consumption.len()).collect();
-        order.shuffle(&mut self.rng);
-        sequential(total, consumption.len(), static_caps, order)
+    fn divide_into(&mut self, total: f64, consumption: &[f64], caps: &[f64], out: &mut Vec<f64>) {
+        self.order.clear();
+        self.order.extend(0..consumption.len());
+        self.order.shuffle(&mut self.rng);
+        let order = self.order.iter().copied();
+        sequential(total, consumption.len(), caps, order, out);
     }
 
     fn export_state(&self) -> Vec<u64> {
@@ -201,18 +219,17 @@ impl BudgetPolicy for PriorityWeighted {
         "priority-weighted"
     }
 
-    fn divide(&mut self, total: f64, consumption: &[f64], static_caps: &[f64]) -> Vec<f64> {
+    fn divide_into(&mut self, total: f64, consumption: &[f64], caps: &[f64], out: &mut Vec<f64>) {
         if self.weights.len() != consumption.len() {
             // Mis-sized weights degrade gracefully to fair share.
-            return FairShare.divide(total, consumption, static_caps);
+            return FairShare.divide_into(total, consumption, caps, out);
         }
         // Weights apply among active consumers only (an off child must
         // not absorb budget its weight would otherwise claim).
-        let mut effective = vec![0.0; consumption.len()];
-        for i in active_children(consumption) {
-            effective[i] = self.weights[i];
-        }
-        proportional(total, &effective, static_caps)
+        let is_active = active(consumption);
+        let weights = &self.weights;
+        let effective = (0..weights.len()).map(|i| if is_active(i) { weights[i] } else { 0.0 });
+        proportional(total, effective, caps, out);
     }
 }
 
@@ -240,16 +257,16 @@ impl BudgetPolicy for HistoryWeighted {
         "history-weighted"
     }
 
-    fn divide(&mut self, total: f64, consumption: &[f64], static_caps: &[f64]) -> Vec<f64> {
+    fn divide_into(&mut self, total: f64, consumption: &[f64], caps: &[f64], out: &mut Vec<f64>) {
         if self.ewma.len() != consumption.len() {
-            self.ewma = consumption.to_vec();
+            self.ewma.clear();
+            self.ewma.extend_from_slice(consumption);
         } else {
             for (e, &c) in self.ewma.iter_mut().zip(consumption) {
                 *e = self.alpha * c + (1.0 - self.alpha) * *e;
             }
         }
-        let ewma = self.ewma.clone();
-        proportional(total, &ewma, static_caps)
+        proportional(total, self.ewma.iter().copied(), caps, out);
     }
 
     fn export_state(&self) -> Vec<u64> {
@@ -269,11 +286,18 @@ impl BudgetPolicy for HistoryWeighted {
 }
 
 /// Sequential allocation helper: children in `order` receive up to their
-/// static cap while budget remains. Children beyond the budget receive a
-/// proportional sliver of what is left rather than a hard zero (a zero
-/// watt budget would be unactionable for a capper).
-fn sequential(total: f64, n: usize, static_caps: &[f64], order: Vec<usize>) -> Vec<f64> {
-    let mut out = vec![0.0; n];
+/// static cap while budget remains, into `out`. Children beyond the budget
+/// receive a proportional sliver of what is left rather than a hard zero
+/// (a zero watt budget would be unactionable for a capper).
+fn sequential(
+    total: f64,
+    n: usize,
+    static_caps: &[f64],
+    order: impl Iterator<Item = usize>,
+    out: &mut Vec<f64>,
+) {
+    out.clear();
+    out.resize(n, 0.0);
     let mut remaining = total;
     for i in order {
         let grant = static_caps[i].min(remaining);
@@ -283,7 +307,6 @@ fn sequential(total: f64, n: usize, static_caps: &[f64], order: Vec<usize>) -> V
             break;
         }
     }
-    out
 }
 
 /// All six built-in policies with their default parameters, for sweeps

@@ -127,6 +127,7 @@ pub struct Runner {
     scratch_caps: Vec<f64>,
     scratch_consumption: Vec<f64>,
     scratch_child_caps: Vec<f64>,
+    scratch_alloc: Vec<f64>,
     scratch_demands: Vec<f64>,
     // Measurement-window snapshots (cumulative values at last epoch).
     snap_util_ec: Vec<f64>,
@@ -168,8 +169,8 @@ pub struct Runner {
     server_link: Vec<Option<usize>>,
     /// Enclosure index → link slot of the GM→EM grant edge.
     em_link: Vec<usize>,
-    /// Reusable event buffer for [`Runner::drain_bus`] (empty between
-    /// drains), so a grant's synchronous drain does not allocate.
+    /// Reusable event buffer for bus sends and polls (empty between
+    /// batches), so delivering a grant does not allocate.
     bus_events: Vec<BusEvent>,
     // Violation accounting.
     violations: LevelViolations,
@@ -558,6 +559,7 @@ impl Runner {
             scratch_caps: Vec::new(),
             scratch_consumption: Vec::new(),
             scratch_child_caps: Vec::new(),
+            scratch_alloc: Vec::new(),
             scratch_demands: Vec::new(),
             snap_util_ec: vec![0.0; n],
             snap_power_sm: vec![0.0; n],
@@ -788,12 +790,15 @@ impl Runner {
     /// counter stream (position-independent, so every caller — epoch
     /// order, thread count, replay — sees the same verdict sequence),
     /// routes the grant through the bus as a sequence-numbered message,
-    /// and synchronously drains due traffic so passthrough delivery
-    /// lands in-place in the telemetry stream.
+    /// and applies what falls due at once, so passthrough delivery lands
+    /// in-place in the telemetry stream.
     fn deliver_grant(&mut self, link_slot: usize, watts: f64) {
         let t = self.ticks_done;
         let plan_lost = self.injector.budget_message_lost(link_slot);
-        let (_seq, enqueued) = self.bus.send(LinkId(link_slot), watts, t, plan_lost);
+        let mut events = std::mem::take(&mut self.bus_events);
+        let (_seq, enqueued) =
+            self.bus
+                .send_into(LinkId(link_slot), watts, t, plan_lost, &mut events);
         if !enqueued {
             // Lost outright — by the plan-level draw or the bus's own
             // drop model. The child holds its last granted budget (until
@@ -806,18 +811,24 @@ impl Runner {
                 child,
             });
         }
-        self.drain_bus();
+        self.apply_bus_events(events);
     }
 
-    /// Polls the bus and applies everything due now: fresh grants write
-    /// the receiver's cap (and lease), duplicates and stale copies are
-    /// rejected, retransmissions are counted.
+    /// Polls the bus for traffic deferred from earlier ticks and applies
+    /// it.
     fn drain_bus(&mut self) {
-        let t = self.ticks_done;
-        // Taken, not borrowed: applying an event needs `&mut self`, and a
-        // nested drain then starts from an empty buffer of its own.
         let mut events = std::mem::take(&mut self.bus_events);
-        self.bus.poll_into(t, &mut events);
+        self.bus.poll_into(self.ticks_done, &mut events);
+        self.apply_bus_events(events);
+    }
+
+    /// Applies one batch of bus events in order: fresh grants write the
+    /// receiver's cap (and lease), duplicates and stale copies are
+    /// rejected, retransmissions are counted. `events` is the runner's
+    /// reusable buffer, taken out for the batch (applying an event needs
+    /// `&mut self`) and handed back empty.
+    fn apply_bus_events(&mut self, mut events: Vec<BusEvent>) {
+        let t = self.ticks_done;
         for &event in &events {
             let slot = match &event {
                 BusEvent::Delivered(m) | BusEvent::Duplicate(m) | BusEvent::Exhausted(m) => {
@@ -1012,7 +1023,10 @@ impl Runner {
         let t = self.ticks_done;
         let snap = self.gm.snapshot();
         let watts = self.gm.effective_cap_watts();
-        let (seq, enqueued) = self.bus.send(LinkId(slot), watts, t, false);
+        let mut events = std::mem::take(&mut self.bus_events);
+        let (seq, enqueued) = self
+            .bus
+            .send_into(LinkId(slot), watts, t, false, &mut events);
         self.rstats.syncs_sent += 1;
         if enqueued {
             if let Some(rep) = &mut self.gm_replica {
@@ -1021,7 +1035,7 @@ impl Runner {
         } else {
             self.rstats.syncs_dropped += 1;
         }
-        self.drain_bus();
+        self.apply_bus_events(events);
     }
 
     /// Ships enclosure `e`'s EM state to its standby (no-op without EM
@@ -1033,7 +1047,10 @@ impl Runner {
         let t = self.ticks_done;
         let snap = self.ems[e].snapshot();
         let watts = self.ems[e].effective_cap_watts();
-        let (seq, enqueued) = self.bus.send(LinkId(slot), watts, t, false);
+        let mut events = std::mem::take(&mut self.bus_events);
+        let (seq, enqueued) = self
+            .bus
+            .send_into(LinkId(slot), watts, t, false, &mut events);
         self.rstats.syncs_sent += 1;
         if enqueued {
             if let Some(rep) = self.em_replicas.get_mut(e) {
@@ -1042,7 +1059,7 @@ impl Runner {
         } else {
             self.rstats.syncs_dropped += 1;
         }
-        self.drain_bus();
+        self.apply_bus_events(events);
     }
 
     /// Whether enclosure `e`'s standby currently leads (its primary is
@@ -2132,7 +2149,9 @@ impl Runner {
         struct EmEncRecord {
             enc: usize,
             telemetry: Vec<TelemetryEvent>,
-            grants: Option<Vec<f64>>,
+            /// This enclosure's member grants, as a range of its shard's
+            /// `grants`.
+            grants: Option<Range<usize>>,
             /// Whether the EM ran a full (online) epoch this tick.
             online: bool,
             /// Sum of the reallocated member budgets (conservation).
@@ -2156,6 +2175,8 @@ impl Runner {
             ems: &'a mut [GroupCapper],
             power: Vec<f64>,
             caps: Vec<f64>,
+            alloc: Vec<f64>,
+            grants: Vec<f64>,
             fstats: FaultStats,
             win: ViolationCounter,
             records: Vec<EmEncRecord>,
@@ -2214,6 +2235,8 @@ impl Runner {
                         ems,
                         power: Vec::new(),
                         caps: Vec::new(),
+                        alloc: Vec::new(),
+                        grants: Vec::new(),
                         fstats: FaultStats::default(),
                         win: ViolationCounter::new(),
                         records: Vec::new(),
@@ -2334,13 +2357,16 @@ impl Runner {
                 for &s in &enc_members[m0..m1] {
                     sh.caps.push(cap_loc[s.index()]);
                 }
-                let allocations = sh.ems[ee].reallocate(&sh.power, &sh.caps);
-                rec.alloc_sum = reduce::tree_sum(&allocations);
+                sh.ems[ee].reallocate_into(&sh.power, &sh.caps, &mut sh.alloc);
+                let allocations = &sh.alloc;
+                rec.alloc_sum = reduce::tree_sum(allocations);
                 if flows_down {
                     // Bus deliveries draw from the bus's own RNG stream and
                     // must land in ascending enclosure order — deferred to
                     // the reduction.
-                    rec.grants = Some(allocations);
+                    let start = sh.grants.len();
+                    sh.grants.extend_from_slice(allocations);
+                    rec.grants = Some(start..sh.grants.len());
                 } else if total > sh.ems[ee].effective_cap_watts() {
                     // Uncoordinated enclosure capper: on violation, directly
                     // clamp member P-states to fit their allocation — racing
@@ -2383,40 +2409,42 @@ impl Runner {
         });
         // Drain every cell to owned data first (the grant replay below
         // needs `&mut self`, which the live cells' borrows would forbid).
-        let mut all_records: Vec<EmEncRecord> = Vec::new();
+        let mut outputs = Vec::with_capacity(cells.len());
         let mut effects = Vec::with_capacity(cells.len());
         for cell in cells {
             let sh = cell.into_inner().expect("worker panics already propagated");
             self.fstats.merge(&sh.fstats);
             self.violations.enclosure.merge(sh.win);
             self.win_em.merge(sh.win);
-            all_records.extend(sh.records);
+            outputs.push((sh.records, sh.grants));
             effects.push(sh.act.into_effects());
         }
         self.sim.absorb_shard_effects(effects);
         // Ascending shards own ascending enclosure ranges, so this replay
         // is ascending-enclosure order — the sequential epoch's exact
         // telemetry, bus-send, and bus-poll sequence.
-        for rec in all_records {
-            if let Some(r) = &mut self.recorder {
-                for ev in rec.telemetry {
-                    r.record(ev);
+        for (records, grants) in outputs {
+            for rec in records {
+                if let Some(r) = &mut self.recorder {
+                    for ev in rec.telemetry {
+                        r.record(ev);
+                    }
                 }
-            }
-            if rec.online && self.invariants_on {
-                self.check_conservation(rec.alloc_sum, rec.eff_cap, rec.enc);
-            }
-            if let Some(grants) = rec.grants {
-                let m0 = self.enc_offsets[rec.enc];
-                for (k, &watts) in grants.iter().enumerate() {
-                    let s = self.enc_members[m0 + k];
-                    let slot = self.server_link[s.index()]
-                        .expect("every enclosure member has a grant link");
-                    self.deliver_grant(slot, watts);
+                if rec.online && self.invariants_on {
+                    self.check_conservation(rec.alloc_sum, rec.eff_cap, rec.enc);
                 }
-            }
-            if rec.online {
-                self.send_em_sync(rec.enc);
+                if let Some(range) = rec.grants {
+                    let m0 = self.enc_offsets[rec.enc];
+                    for (k, &watts) in grants[range].iter().enumerate() {
+                        let s = self.enc_members[m0 + k];
+                        let slot = self.server_link[s.index()]
+                            .expect("every enclosure member has a grant link");
+                        self.deliver_grant(slot, watts);
+                    }
+                }
+                if rec.online {
+                    self.send_em_sync(rec.enc);
+                }
             }
         }
     }
@@ -2659,7 +2687,9 @@ impl Runner {
                 let s = self.enc_members[k];
                 self.scratch_caps.push(self.cap_loc[s.index()]);
             }
-            let allocations = self.ems[e].reallocate(&self.scratch_power, &self.scratch_caps);
+            // Taken, not borrowed: each grant below needs `&mut self`.
+            let mut allocations = std::mem::take(&mut self.scratch_alloc);
+            self.ems[e].reallocate_into(&self.scratch_power, &self.scratch_caps, &mut allocations);
             if self.invariants_on {
                 self.check_conservation(reduce::tree_sum(&allocations), eff_cap, e);
             }
@@ -2695,6 +2725,7 @@ impl Runner {
                     }
                 }
             }
+            self.scratch_alloc = allocations;
             self.send_em_sync(e);
         }
     }
@@ -3015,9 +3046,12 @@ impl Runner {
                 effective: true,
             });
         }
-        let allocations = self
-            .gm
-            .reallocate(&self.scratch_consumption, &self.scratch_child_caps);
+        let mut allocations = std::mem::take(&mut self.scratch_alloc);
+        self.gm.reallocate_into(
+            &self.scratch_consumption,
+            &self.scratch_child_caps,
+            &mut allocations,
+        );
         if self.invariants_on {
             self.check_conservation(reduce::tree_sum(&allocations), eff_cap, 0);
         }
@@ -3058,6 +3092,7 @@ impl Runner {
                 }
             }
         }
+        self.scratch_alloc = allocations;
         self.send_gm_sync();
     }
 

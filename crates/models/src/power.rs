@@ -76,6 +76,7 @@ impl LinearPerf {
 }
 
 /// Clamps a utilization reading into `[0, 1]`, mapping NaN to 0.
+#[inline]
 pub(crate) fn clamp_utilization(utilization: f64) -> f64 {
     if utilization.is_nan() {
         0.0

@@ -40,9 +40,15 @@
 //! expires it back to the local static cap. An ack's only effect is to
 //! clear that retry state, so a bus with retries off sends none.
 //!
+//! Same-tick delivery skips the queue: [`ControlBus::send_into`] is
+//! `send` then `poll_into` at the send tick, and when nothing earlier is
+//! due it hands the copies (and acks) due that tick straight to the
+//! receiver in uid order, so a zero-delay grant costs no heap push or pop.
+//!
 //! The per-grant path allocates nothing in steady state:
-//! [`ControlBus::poll_into`] writes into a caller-owned event buffer and
-//! the retry pass reuses a bus-owned scratch list.
+//! [`ControlBus::poll_into`] and [`ControlBus::send_into`] write into a
+//! caller-owned event buffer and the retry pass reuses a bus-owned
+//! scratch list.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -369,11 +375,10 @@ struct LinkState {
 /// The deterministic control-plane bus.
 ///
 /// The owner registers links with [`ControlBus::register_link`], routes
-/// every grant through [`ControlBus::send`], and calls
-/// [`ControlBus::poll`] to collect due deliveries, duplicate/stale
-/// rejections, and retransmissions. With the default passthrough config,
-/// `send` followed by `poll` at the same tick behaves exactly like a
-/// direct write.
+/// every grant through [`ControlBus::send_into`] (or [`ControlBus::send`]),
+/// and calls [`ControlBus::poll_into`] to collect due deliveries,
+/// duplicate/stale rejections, and retransmissions. With the default
+/// passthrough config, `send_into` behaves exactly like a direct write.
 #[derive(Debug, Clone)]
 pub struct ControlBus {
     cfg: BusConfig,
@@ -488,14 +493,125 @@ impl ControlBus {
     /// was actually enqueued (`false` = the grant was lost outright; the
     /// retry machinery, if enabled, will still chase it).
     pub fn send(&mut self, link: LinkId, watts: f64, now: u64, plan_lost: bool) -> (u64, bool) {
-        let state = &mut self.links[link.0];
+        let seq = self.next_grant(link.0, watts, now);
+        if plan_lost {
+            return (seq, false);
+        }
+        let enqueued = self.transmit(link.0, seq, watts, now);
+        (seq, enqueued)
+    }
+
+    /// Sends one grant and processes everything due at `now`: exactly
+    /// [`ControlBus::send`] followed by [`ControlBus::poll_into`]`(now,
+    /// events)` — same events, same state, same RNG draws.
+    ///
+    /// When nothing queued and no retransmission timer is due by `now`,
+    /// the copies this send makes due at `now` are the first (and, with
+    /// their acks, the only) traffic the poll would pop, in uid order. They
+    /// are delivered here without touching the heap: each copy and ack
+    /// still takes its uid, so `next_uid`, `accepted_seq` and the pending
+    /// retry state end where the queued path leaves them. Copies due later
+    /// are queued as usual. A bus with earlier traffic due takes the
+    /// queued path.
+    #[inline]
+    pub fn send_into(
+        &mut self,
+        link: LinkId,
+        watts: f64,
+        now: u64,
+        plan_lost: bool,
+        events: &mut Vec<BusEvent>,
+    ) -> (u64, bool) {
+        if !self.quiet_at(now) {
+            return self.send_then_poll(link, watts, now, plan_lost, events);
+        }
+        events.clear();
+        let link = link.0;
+        let seq = self.next_grant(link, watts, now);
+        if plan_lost {
+            return (seq, false);
+        }
+        let Some((first, duplicate)) = self.draw_copies(now) else {
+            return (seq, false);
+        };
+        // Uids in send order: the first copy, then the duplicate.
+        let mut due = usize::from(self.hold_copy(first, link, seq, watts, now));
+        if let Some(at) = duplicate {
+            due += usize::from(self.hold_copy(at, link, seq, watts, now));
+        }
+        // The queued path pops every due copy before the acks they spawn
+        // (the acks' uids are larger), so receive first, then ack.
+        for _ in 0..due {
+            self.receive_grant(link, seq, watts, events);
+        }
+        if self.cfg.retry.enabled() {
+            for _ in 0..due {
+                if self.cfg.delay_ticks == 0 {
+                    self.next_uid += 1;
+                    self.receive_ack(link, seq);
+                } else {
+                    self.enqueue(now + self.cfg.delay_ticks, link, MsgKind::Ack, seq, 0.0);
+                }
+            }
+        }
+        // The retry timer this send armed lies at least one tick ahead
+        // (backoff >= 1), so the poll would find nothing further due.
+        debug_assert!(self.quiet_at(now));
+        (seq, true)
+    }
+
+    /// Gives one grant copy of [`ControlBus::send_into`] its uid: a copy
+    /// due after `now` is queued, a copy due at `now` only takes the uid
+    /// and is reported (`true`) for delivery at once.
+    #[inline]
+    fn hold_copy(&mut self, deliver_at: u64, link: usize, seq: u64, watts: f64, now: u64) -> bool {
+        if deliver_at > now {
+            self.enqueue(deliver_at, link, MsgKind::Grant, seq, watts);
+            return false;
+        }
+        self.next_uid += 1;
+        true
+    }
+
+    /// The queued path of [`ControlBus::send_into`], kept out of line so
+    /// the inlined due-now path stays small.
+    #[inline(never)]
+    fn send_then_poll(
+        &mut self,
+        link: LinkId,
+        watts: f64,
+        now: u64,
+        plan_lost: bool,
+        events: &mut Vec<BusEvent>,
+    ) -> (u64, bool) {
+        let sent = self.send(link, watts, now, plan_lost);
+        self.poll_into(now, events);
+        sent
+    }
+
+    /// True when no queued message and no retransmission timer (live or
+    /// stale) is due at or before `now`, so a poll at `now` would find
+    /// nothing to do.
+    #[inline]
+    fn quiet_at(&self, now: u64) -> bool {
+        let queue_due =
+            matches!(self.queue.peek(), Some(Reverse(QueueEntry(m))) if m.deliver_at <= now);
+        let timer_due = matches!(self.retry_timers.peek(), Some(&Reverse((at, _))) if at <= now);
+        !queue_due && !timer_due
+    }
+
+    /// Sender side of a fresh grant: assigns the link's next sequence
+    /// number and, with retries on, arms its retransmission timer.
+    #[inline]
+    fn next_grant(&mut self, link: usize, watts: f64, now: u64) -> u64 {
+        let state = &mut self.links[link];
         state.next_seq += 1;
         let seq = state.next_seq;
         if self.cfg.retry.enabled() {
             let backoff = self.cfg.retry.backoff(1);
             let jitter = self.jitter(self.cfg.retry.jitter_ticks);
             self.arm_pending(
-                link.0,
+                link,
                 Pending {
                     seq,
                     watts,
@@ -504,30 +620,37 @@ impl ControlBus {
                 },
             );
         }
-        if plan_lost {
-            return (seq, false);
-        }
-        let enqueued = self.transmit(link.0, seq, watts, now);
-        (seq, enqueued)
+        seq
     }
 
     /// Enqueues one transmission attempt (plus a possible duplicate).
     /// Returns `false` when the bus dropped the copy.
     fn transmit(&mut self, link: usize, seq: u64, watts: f64, now: u64) -> bool {
-        if self.cfg.drop_prob > 0.0 && self.rng.gen_bool(self.cfg.drop_prob) {
+        let Some((first, duplicate)) = self.draw_copies(now) else {
             return false;
-        }
-        let duplicate = self.cfg.duplicate_prob > 0.0 && self.rng.gen_bool(self.cfg.duplicate_prob);
-        let delay = self.copy_delay();
-        self.enqueue(now + delay, link, MsgKind::Grant, seq, watts);
-        if duplicate {
-            let delay = self.copy_delay();
-            self.enqueue(now + delay, link, MsgKind::Grant, seq, watts);
+        };
+        self.enqueue(first, link, MsgKind::Grant, seq, watts);
+        if let Some(at) = duplicate {
+            self.enqueue(at, link, MsgKind::Grant, seq, watts);
         }
         true
     }
 
+    /// Draws one transmission attempt's fate: `None` when the bus drops
+    /// it, otherwise the delivery tick of the copy and of its duplicate,
+    /// if any.
+    #[inline]
+    fn draw_copies(&mut self, now: u64) -> Option<(u64, Option<u64>)> {
+        if self.cfg.drop_prob > 0.0 && self.rng.gen_bool(self.cfg.drop_prob) {
+            return None;
+        }
+        let duplicate = self.cfg.duplicate_prob > 0.0 && self.rng.gen_bool(self.cfg.duplicate_prob);
+        let first = now + self.copy_delay();
+        Some((first, duplicate.then(|| now + self.copy_delay())))
+    }
+
     /// Delay of one message copy: base + jitter + reorder penalty.
+    #[inline]
     fn copy_delay(&mut self) -> u64 {
         let mut delay = self.cfg.delay_ticks + self.jitter(self.cfg.jitter_ticks);
         if self.cfg.reorder_prob > 0.0 && self.rng.gen_bool(self.cfg.reorder_prob) {
@@ -537,6 +660,7 @@ impl ControlBus {
     }
 
     /// Uniform draw in `[0, bound]`; draws nothing when `bound == 0`.
+    #[inline]
     fn jitter(&mut self, bound: u64) -> u64 {
         if bound == 0 {
             0
@@ -609,39 +733,54 @@ impl ControlBus {
     /// was processed.
     fn deliver_due(&mut self, now: u64, events: &mut Vec<BusEvent>) -> bool {
         let mut progressed = false;
-        while let Some(&Reverse(QueueEntry(first))) = self.queue.peek() {
-            if first.deliver_at > now {
+        while let Some(&Reverse(QueueEntry(msg))) = self.queue.peek() {
+            if msg.deliver_at > now {
                 break;
             }
             self.queue.pop();
-            let msg = first;
             progressed = true;
             match msg.kind {
-                MsgKind::Grant => self.deliver_grant(msg, now, events),
-                MsgKind::Ack => {
-                    if self.links[msg.link]
-                        .pending
-                        .is_some_and(|p| p.seq == msg.seq)
-                    {
-                        self.clear_pending(msg.link);
+                MsgKind::Grant => {
+                    self.receive_grant(msg.link, msg.seq, msg.watts, events);
+                    // With retries on, every delivery is acknowledged
+                    // (duplicates and stale copies too: the ack names the
+                    // copy's own sequence number, and the sender ignores
+                    // acks for anything but its pending grant). Acks are
+                    // deterministic and lossless — the asymmetry keeps the
+                    // fault model focused on the downstream grant channel.
+                    // With retries off no pending grant exists for an ack
+                    // to clear, and an ack draws no randomness and yields
+                    // no event.
+                    if self.cfg.retry.enabled() {
+                        self.enqueue(
+                            now + self.cfg.delay_ticks,
+                            msg.link,
+                            MsgKind::Ack,
+                            msg.seq,
+                            0.0,
+                        );
                     }
                 }
+                MsgKind::Ack => self.receive_ack(msg.link, msg.seq),
             }
         }
         progressed
     }
 
-    fn deliver_grant(&mut self, msg: InFlight, now: u64, events: &mut Vec<BusEvent>) {
+    /// Receiver side of one grant copy: accepts a fresh sequence number,
+    /// rejects a duplicate or an overtaken one, and reports which.
+    #[inline]
+    fn receive_grant(&mut self, link: usize, seq: u64, watts: f64, events: &mut Vec<BusEvent>) {
         let grant = GrantMsg {
-            link: LinkId(msg.link),
-            seq: msg.seq,
-            watts: msg.watts,
+            link: LinkId(link),
+            seq,
+            watts,
         };
-        let accepted = self.links[msg.link].accepted_seq;
-        if msg.seq > accepted {
-            self.links[msg.link].accepted_seq = msg.seq;
+        let accepted = self.links[link].accepted_seq;
+        if seq > accepted {
+            self.links[link].accepted_seq = seq;
             events.push(BusEvent::Delivered(grant));
-        } else if msg.seq == accepted {
+        } else if seq == accepted {
             events.push(BusEvent::Duplicate(grant));
         } else {
             events.push(BusEvent::Stale {
@@ -649,21 +788,13 @@ impl ControlBus {
                 accepted,
             });
         }
-        // With retries on, every delivery is acknowledged (duplicates
-        // and stale copies too: the ack names the copy's own sequence
-        // number, and the sender ignores acks for anything but its
-        // pending grant). Acks are deterministic and lossless — the
-        // asymmetry keeps the fault model focused on the downstream grant
-        // channel. With retries off no pending grant exists for an ack
-        // to clear, and an ack draws no randomness and yields no event.
-        if self.cfg.retry.enabled() {
-            self.enqueue(
-                now + self.cfg.delay_ticks,
-                msg.link,
-                MsgKind::Ack,
-                msg.seq,
-                0.0,
-            );
+    }
+
+    /// Sender side of one ack: clears the retry state of the grant it
+    /// names, if that grant is still the pending one.
+    fn receive_ack(&mut self, link: usize, seq: u64) {
+        if self.links[link].pending.is_some_and(|p| p.seq == seq) {
+            self.clear_pending(link);
         }
     }
 
@@ -981,6 +1112,24 @@ mod tests {
             bus.poll(t);
         }
         assert_eq!(format!("{:?}", bus.rng), rng_before);
+    }
+
+    #[test]
+    fn send_into_delivers_due_copies_without_queueing() {
+        let retrying = BusConfig::default().with_retry(RetryConfig {
+            max_attempts: 2,
+            ..RetryConfig::default()
+        });
+        let mut bus = ControlBus::new(&retrying);
+        let link = bus.register_link();
+        let mut events = Vec::new();
+        assert_eq!(bus.send_into(link, 90.0, 4, false, &mut events), (1, true));
+        assert_eq!(deliveries(&events), vec![(0, 1, 90.0)]);
+        // The copy and its ack each took a uid, and the ack cleared the
+        // retry state, without either entering the queue.
+        assert_eq!(bus.next_uid, 2);
+        assert!(bus.queue.is_empty());
+        assert!(bus.is_idle());
     }
 
     #[test]

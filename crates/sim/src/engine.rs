@@ -667,7 +667,7 @@ impl Simulation {
     #[inline]
     pub fn set_pstate(&mut self, s: ServerId, p: PState) {
         let i = s.index();
-        let p = PState(p.index().min(self.models[i].num_pstates() - 1));
+        let p = PState(p.index().min(self.table.num_pstates(i) - 1));
         if self.pstate_written_this_tick[i] && self.pstate[i] != p {
             self.pstate_conflicts += 1;
             self.events

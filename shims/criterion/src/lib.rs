@@ -1,6 +1,7 @@
 //! In-tree, offline shim for the `criterion` API subset this workspace
-//! uses. Benchmarks compile and run with `cargo bench`, printing a
-//! median ns/iter per benchmark. There are no statistical reports or
+//! uses. Benchmarks compile and run with `cargo bench`, printing the
+//! fastest, median and slowest sample's time per iteration for each
+//! benchmark (`time: [min median max]`). There are no statistical reports or
 //! HTML output — this is a timing harness, not a statistics package —
 //! but relative comparisons (e.g. recorder on vs off) are meaningful.
 
@@ -98,27 +99,36 @@ impl Bencher {
         }
     }
 
-    fn median_ns(&mut self) -> f64 {
+    /// The fastest, median and slowest per-iteration sample, in ns.
+    fn spread_ns(&mut self) -> [f64; 3] {
         if self.samples.is_empty() {
-            return 0.0;
+            return [0.0; 3];
         }
         self.samples
             .sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-        self.samples[self.samples.len() / 2]
+        let n = self.samples.len();
+        [self.samples[0], self.samples[n / 2], self.samples[n - 1]]
     }
 }
 
-fn report(name: &str, ns: f64) {
-    let (value, unit) = if ns >= 1e9 {
-        (ns / 1e9, "s")
-    } else if ns >= 1e6 {
-        (ns / 1e6, "ms")
-    } else if ns >= 1e3 {
-        (ns / 1e3, "µs")
+/// Prints `[min median max]` per iteration, all in the median's unit, so
+/// the spread between samples shows beside the median.
+fn report(name: &str, [min, median, max]: [f64; 3]) {
+    let (scale, unit) = if median >= 1e9 {
+        (1e9, "s")
+    } else if median >= 1e6 {
+        (1e6, "ms")
+    } else if median >= 1e3 {
+        (1e3, "µs")
     } else {
-        (ns, "ns")
+        (1.0, "ns")
     };
-    println!("{name:<50} time: {value:10.3} {unit}/iter");
+    println!(
+        "{name:<50} time: [{:.3} {unit} {:.3} {unit} {:.3} {unit}]",
+        min / scale,
+        median / scale,
+        max / scale
+    );
 }
 
 /// The benchmark driver.
@@ -136,7 +146,7 @@ impl Criterion {
         let id = id.into();
         let mut b = Bencher::default();
         f(&mut b);
-        report(&id, b.median_ns());
+        report(&id, b.spread_ns());
         self
     }
 
@@ -174,7 +184,7 @@ impl BenchmarkGroup<'_> {
         let id = id.into().0;
         let mut b = Bencher::default();
         f(&mut b);
-        report(&format!("{}/{}", self.name, id), b.median_ns());
+        report(&format!("{}/{}", self.name, id), b.spread_ns());
         self
     }
 
@@ -190,7 +200,7 @@ impl BenchmarkGroup<'_> {
     {
         let mut b = Bencher::default();
         f(&mut b, input);
-        report(&format!("{}/{}", self.name, id.id), b.median_ns());
+        report(&format!("{}/{}", self.name, id.id), b.spread_ns());
         self
     }
 

@@ -3,7 +3,7 @@
 //! arbitrary delay/reorder/duplicate/drop schedules, lease expiry must
 //! never leave a grant dangling above the static cap, and a zero-fault
 //! zero-delay bus must be bit-identical to the direct-write passthrough
-//! path.
+//! path. `send_into` must equal `send` followed by `poll_into`.
 
 use no_power_struggles::prelude::*;
 use proptest::prelude::*;
@@ -358,6 +358,98 @@ proptest! {
         prop_assert!(heap.is_idle(), "bus must drain once traffic stops");
         // Same end state too: a checkpoint of either is interchangeable.
         prop_assert_eq!(heap.snapshot(), linear.snapshot());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `send_into` is exactly `send` then `poll_into` at the send tick:
+    /// two buses built from the same config are fed the same random
+    /// schedule of sends (several links, several per tick, some lost by
+    /// the plan), polls and tick advances — one sends through `send_into`,
+    /// the other through `send` + `poll_into` — and after every step they
+    /// must report the same events and verdicts and hold the same state.
+    /// Zero base delay, zero jitter and retries are drawn often, so both
+    /// the due-now delivery and the queued path run.
+    #[test]
+    fn send_into_matches_send_then_poll(
+        delay_raw in 0u64..5,
+        jitter_raw in 0u64..4,
+        drop in 0.0f64..0.4,
+        dup in 0.0f64..0.6,
+        reorder in 0.0f64..0.5,
+        extra in 0u64..4,
+        attempts in 0u32..4,
+        backoff in 1u64..3,
+        retry_jitter in 0u64..2,
+        lease in 0u64..20,
+        seed in 0u64..1_000,
+        steps in prop::collection::vec((0u8..7, 0usize..NUM_LINKS, 0u8..8), 1..160),
+    ) {
+        let cfg = BusConfig::default()
+            .with_seed(seed)
+            .with_delay(delay_raw.saturating_sub(2), jitter_raw.saturating_sub(1))
+            .with_drop(drop)
+            .with_duplication(dup)
+            .with_reordering(reorder, extra)
+            .with_leases(lease)
+            .with_retry(RetryConfig {
+                max_attempts: attempts,
+                backoff_base_ticks: backoff,
+                backoff_max_ticks: 8,
+                jitter_ticks: retry_jitter,
+            });
+        let mut direct = ControlBus::new(&cfg);
+        let mut queued = ControlBus::new(&cfg);
+        for _ in 0..NUM_LINKS {
+            direct.register_link();
+            queued.register_link();
+        }
+        // Reused buffers, as the runner reuses one: each call must
+        // replace what the previous one left.
+        let mut ea = Vec::new();
+        let mut eb = Vec::new();
+        let mut now = 0u64;
+        let same = |a: &ControlBus, b: &ControlBus, ea: &[BusEvent], eb: &[BusEvent], step: usize|
+            -> Result<(), TestCaseError> {
+            prop_assert_eq!(ea, eb, "events diverged at step {}", step);
+            prop_assert_eq!(a.snapshot(), b.snapshot(), "state diverged at step {}", step);
+            prop_assert_eq!(a.link_scans(), b.link_scans(), "link scans diverged at step {}", step);
+            prop_assert_eq!(a.is_idle(), b.is_idle());
+            Ok(())
+        };
+        for (step, &(op, link, draw)) in steps.iter().enumerate() {
+            match op {
+                0..=3 => {
+                    let watts = 100.0 + step as f64;
+                    let plan_lost = draw == 0;
+                    let a = direct.send_into(LinkId(link), watts, now, plan_lost, &mut ea);
+                    let b = queued.send(LinkId(link), watts, now, plan_lost);
+                    queued.poll_into(now, &mut eb);
+                    prop_assert_eq!(a, b, "send verdicts diverged at step {}", step);
+                }
+                4 => {
+                    direct.poll_into(now, &mut ea);
+                    queued.poll_into(now, &mut eb);
+                }
+                _ => {
+                    // Advance without polling: traffic due in between is
+                    // overdue at the next send, which must then take the
+                    // queued path.
+                    now += u64::from(draw % 3) + 1;
+                    ea.clear();
+                    eb.clear();
+                }
+            }
+            same(&direct, &queued, &ea, &eb, step)?;
+        }
+        for t in now..now + 200 {
+            direct.poll_into(t, &mut ea);
+            queued.poll_into(t, &mut eb);
+            same(&direct, &queued, &ea, &eb, steps.len())?;
+        }
+        prop_assert!(direct.is_idle(), "bus must drain once traffic stops");
     }
 }
 
