@@ -43,7 +43,7 @@ pub fn seed() -> u64 {
 }
 
 /// Worker threads for each run's rack-sharded parallel phase
-/// (`NPS_THREADS`, default 1 — the sequential path). Results are
+/// (`NPS_THREADS`, default 1 — one inline whole-fleet shard). Results are
 /// bit-identical at every value; this only moves wall-clock.
 pub fn threads() -> usize {
     std::env::var("NPS_THREADS")

@@ -16,6 +16,7 @@
 use std::ops::Range;
 
 use nps_models::{ModelTable, PState};
+use nps_sim::par::Carve;
 
 use crate::ec::EfficiencyController;
 use crate::sm::{ServerManager, SmDecision};
@@ -344,59 +345,25 @@ impl ControllerBank {
 
     // ----- rack sharding --------------------------------------------------
 
-    /// Carves the bank into disjoint per-shard views for the parallel
-    /// per-rack phase. `ranges` must be an ascending, dense partition of
-    /// the server range (see `Topology::shard_ranges` in `nps-sim`).
-    /// Each [`BankShard`] mutates only its own servers' slots through
-    /// the *same* core update functions the sequential methods use, so
+    /// Carves the bank into disjoint per-shard views for a sharded
+    /// epoch: the returned [`BankCarve`] hands out one [`BankShard`] per
+    /// ascending server range (see `Topology::shard_ranges` in
+    /// `nps-sim`). Each shard mutates only its own servers' slots through
+    /// the *same* core update functions the whole-bank methods use, so
     /// results are bit-identical by construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ranges` is not an ascending dense partition of
-    /// `0..len()`.
-    pub fn shards(&mut self, ranges: &[Range<usize>]) -> Vec<BankShard<'_>> {
-        let n = self.len();
-        let mut out = Vec::with_capacity(ranges.len());
-        let mut freq_hz = self.freq_hz.as_mut_slice();
-        let mut applied_hz = self.applied_hz.as_mut_slice();
-        let mut r_ref = self.r_ref.as_mut_slice();
-        let mut static_cap = self.static_cap.as_slice();
-        let mut granted_cap = self.granted_cap.as_mut_slice();
-        let mut lease_until = self.lease_until.as_mut_slice();
-        let mut cursor = 0usize;
-        for range in ranges {
-            assert_eq!(range.start, cursor, "shards must be dense and ascending");
-            let len = range.len();
-            let (f, rest) = freq_hz.split_at_mut(len);
-            freq_hz = rest;
-            let (a, rest) = applied_hz.split_at_mut(len);
-            applied_hz = rest;
-            let (r, rest) = r_ref.split_at_mut(len);
-            r_ref = rest;
-            let (s, rest) = static_cap.split_at(len);
-            static_cap = rest;
-            let (g, rest) = granted_cap.split_at_mut(len);
-            granted_cap = rest;
-            let (l, rest) = lease_until.split_at_mut(len);
-            lease_until = rest;
-            out.push(BankShard {
-                table: &self.table,
-                lambda: self.lambda,
-                beta: self.beta,
-                guard: self.guard,
-                lo: range.start,
-                freq_hz: f,
-                applied_hz: a,
-                r_ref: r,
-                static_cap: s,
-                granted_cap: g,
-                lease_until: l,
-            });
-            cursor = range.end;
+    pub fn shards(&mut self) -> BankCarve<'_> {
+        BankCarve {
+            table: &self.table,
+            lambda: self.lambda,
+            beta: self.beta,
+            guard: self.guard,
+            freq_hz: Carve::new(&mut self.freq_hz),
+            applied_hz: Carve::new(&mut self.applied_hz),
+            r_ref: Carve::new(&mut self.r_ref),
+            static_cap: &self.static_cap,
+            granted_cap: Carve::new(&mut self.granted_cap),
+            lease_until: Carve::new(&mut self.lease_until),
         }
-        assert_eq!(cursor, n, "shards must cover every server");
-        out
     }
 
     // ----- checkpointing --------------------------------------------------
@@ -441,6 +408,47 @@ impl ControllerBank {
         self.r_ref = floats(&snap.r_ref_bits);
         self.granted_cap = floats(&snap.granted_cap_bits);
         self.lease_until = snap.lease_until.clone();
+    }
+}
+
+/// Hands out [`BankShard`]s over consecutive server ranges; produced by
+/// [`ControllerBank::shards`].
+#[derive(Debug)]
+pub struct BankCarve<'a> {
+    table: &'a ModelTable,
+    lambda: f64,
+    beta: f64,
+    guard: f64,
+    freq_hz: Carve<'a, f64>,
+    applied_hz: Carve<'a, f64>,
+    r_ref: Carve<'a, f64>,
+    static_cap: &'a [f64],
+    granted_cap: Carve<'a, f64>,
+    lease_until: Carve<'a, u64>,
+}
+
+impl<'a> BankCarve<'a> {
+    /// The bank view of server `range`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` starts before the previous range's end or runs
+    /// past the fleet.
+    #[inline]
+    pub fn take(&mut self, range: Range<usize>) -> BankShard<'a> {
+        BankShard {
+            table: self.table,
+            lambda: self.lambda,
+            beta: self.beta,
+            guard: self.guard,
+            lo: range.start,
+            freq_hz: self.freq_hz.take(range.clone()),
+            applied_hz: self.applied_hz.take(range.clone()),
+            r_ref: self.r_ref.take(range.clone()),
+            static_cap: &self.static_cap[range.clone()],
+            granted_cap: self.granted_cap.take(range.clone()),
+            lease_until: self.lease_until.take(range),
+        }
     }
 }
 
@@ -741,7 +749,9 @@ mod tests {
         whole.set_granted_cap_leased(2, 55.0, 10);
         let ranges = [0..3, 3..5, 5..7];
         for k in 0..80 {
-            let mut shards = sharded.shards(&ranges);
+            let mut carve = sharded.shards();
+            let mut shards: Vec<BankShard<'_>> =
+                ranges.iter().map(|r| carve.take(r.clone())).collect();
             for (shard, range) in shards.iter_mut().zip(&ranges) {
                 for i in range.clone() {
                     let u = 0.2 + 0.07 * ((k + i) % 9) as f64;

@@ -56,7 +56,7 @@ mod sm;
 pub mod stability;
 
 pub use arbiter::{ArbitrationPolicy, FrequencyArbiter};
-pub use bank::{BankShard, BankSnapshot, ControllerBank};
+pub use bank::{BankCarve, BankShard, BankSnapshot, ControllerBank};
 pub use cap::ElectricalCapper;
 pub use crac::CracController;
 pub use ec::EfficiencyController;

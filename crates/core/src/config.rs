@@ -111,8 +111,8 @@ pub struct ExperimentConfig {
     pub policy: PolicyKind,
     /// Simulation length in ticks.
     pub horizon: u64,
-    /// Worker threads for the parallel per-rack phase of each tick
-    /// (`1` = the fully sequential legacy path). Results are
+    /// Worker threads for the sharded phases of each tick (`1` = one
+    /// whole-fleet shard, run inline without a pool). Results are
     /// bit-identical at every value, so this is purely a throughput
     /// knob; it never appears in labels or checkpoints.
     pub threads: usize,

@@ -13,14 +13,14 @@ use nps_metrics::{
 };
 use nps_models::{PState, ServerModel};
 use nps_opt::{ClusterContext, Vmc};
+use nps_sim::par::{self, Carve};
 use nps_sim::{
     reduce, ActuatorDrawShard, ActuatorShard, BusEvent, BusSnapshot, ControlBus, ControllerLayer,
     EnclosureId, FaultInjector, FaultPlan, GrantMsg, InjectorSnapshot, LinkId, OutageWindow,
     Reading, RedundancyConfig, RedundancyStats, ReplicaState, SensorChannel, SensorDrawShard,
-    ServerId, SimConfig, SimEpochView, SimSnapshot, Simulation, VmId, WorkerPool,
+    ServerId, ShardEffects, SimConfig, SimEpochView, SimSnapshot, Simulation, VmId, WorkerPool,
 };
 use std::ops::Range;
-use std::sync::Mutex;
 
 use crate::arch::ControllerMask;
 use crate::config::ExperimentConfig;
@@ -123,8 +123,6 @@ pub struct Runner {
     enc_members: Vec<ServerId>,
     standalone_ids: Vec<ServerId>,
     // Reusable epoch scratch buffers (no per-epoch allocation).
-    scratch_power: Vec<f64>,
-    scratch_caps: Vec<f64>,
     scratch_consumption: Vec<f64>,
     scratch_child_caps: Vec<f64>,
     scratch_alloc: Vec<f64>,
@@ -189,28 +187,34 @@ pub struct Runner {
     arb_ns: u64,
     /// Telemetry sink; `None` costs one discriminant test per event site.
     recorder: Option<Box<dyn Recorder>>,
-    // Rack-sharded parallel execution. The persistent worker pool and the
-    // topology's size-weighted shard partition drive the parallel phase
-    // of the simulator step and the EC/SM/EM epochs, the GM's window
-    // fan-out, and the electrical clamp; `pool == None` is the fully
-    // sequential legacy path. Results are bit-identical at every thread
-    // count, so none of these fields is part of a checkpoint (resuming
-    // at a different `--threads` is exact by construction).
+    // Rack-sharded execution. Every controller epoch, the GM window pass,
+    // the electrical clamp and the per-tick VM passes have one body that
+    // runs per shard through `par::for_each_shard`: inline over a single
+    // whole-fleet shard at one thread (`pool == None`), across the pool
+    // otherwise. Results are bit-identical at every thread count, so
+    // none of these fields is part of a checkpoint (resuming at a
+    // different `--threads` is exact by construction).
     pool: Option<WorkerPool>,
+    /// Server ranges of the shards: `0..n` alone at one thread, else the
+    /// topology's size-weighted partition cut on enclosure boundaries.
     shards: Vec<Range<usize>>,
-    /// Per-shard enclosure ordinal ranges: `shard_encs[k]` are the
-    /// enclosures whose member servers lie entirely inside `shards[k]`.
-    /// Valid (dense, covering every enclosure) only when `enc_aligned`.
+    /// Enclosures each shard owns ([`nps_sim::Topology::shard_enclosures`]):
+    /// every member of an owned enclosure lies in the shard's servers, and
+    /// an empty enclosure belongs to the shard at its member offset.
     shard_encs: Vec<Range<usize>>,
-    /// Whether every enclosure is wholly owned by one shard (the weighted
-    /// [`nps_sim::Topology::shard_ranges`] partition snaps cuts to
-    /// enclosure boundaries, so this holds except for degenerate
-    /// topologies, e.g. an empty enclosure). Gates the parallel EM epoch
-    /// and GM fan-out; when false those run sequentially.
-    enc_aligned: bool,
-    /// Static copy of the fault plan's outage windows, so parallel shard
-    /// workers can evaluate `offline` without borrowing the injector
-    /// (whose actuator-jam state is carved into the shards).
+    /// Standalone-server ordinals each shard holds (the standalone tail
+    /// is dense after the enclosures, which `Topology::validate` checks).
+    shard_sa: Vec<Range<usize>>,
+    /// VM ranges of the per-tick VM passes: one range unless a pool runs
+    /// at least `PAR_VM_THRESHOLD` VMs, then an even split per shard.
+    vm_shards: Vec<Range<usize>>,
+    /// Per-shard reusable buffers, drained by every epoch's reduction.
+    scratch: Vec<ShardScratch>,
+    /// Per-shard P-state conflict buffers, likewise reused.
+    shard_effects: Vec<ShardEffects>,
+    /// Static copy of the fault plan's outage windows, so shard bodies
+    /// can evaluate `offline` without borrowing the injector (whose
+    /// actuator-jam state is carved into the shards).
     outage_windows: Vec<OutageWindow>,
     // Controller redundancy: optional warm standbys for the GM and EMs.
     // The failure detector and every promotion/fencing decision run in
@@ -465,72 +469,33 @@ impl Runner {
                 .map(|&s| models[s.index()].idle_power(0)),
         );
 
-        // Size-weighted shard partition: up to 2 shards per thread (so the
-        // pool's dynamic claiming can rebalance uneven racks), with cuts
-        // snapped to enclosure boundaries. A pool only pays off when there
-        // are at least two shards to hand out; below that the sequential
-        // path is both faster and simpler.
-        let shards = cfg.topology.shard_ranges(cfg.threads.max(1) * 2);
-        let pool = if cfg.threads > 1 && shards.len() >= 2 {
-            Some(WorkerPool::new(cfg.threads))
-        } else {
-            None
-        };
-
-        // Map each enclosure to the shard wholly containing its members.
-        // `shard_ranges` snaps cuts to enclosure boundaries, so normally
-        // every enclosure is owned by exactly one shard and the EM epoch /
-        // GM window fan-out can run per-shard; a degenerate topology
-        // (empty enclosure, non-contiguous member ids) falls back to the
-        // sequential paths via `enc_aligned = false`.
-        let mut shard_encs: Vec<Range<usize>> = Vec::with_capacity(shards.len());
-        let mut enc_aligned = true;
-        {
-            let mut e = 0usize;
-            for r in &shards {
-                let start = e;
-                while e < num_enclosures {
-                    let (m0, m1) = (enc_offsets[e], enc_offsets[e + 1]);
-                    if m0 == m1 {
-                        enc_aligned = false;
-                        break;
-                    }
-                    let first = enc_members[m0].index();
-                    let last = enc_members[m1 - 1].index();
-                    if first < r.start || first >= r.end {
-                        break;
-                    }
-                    if last >= r.end || last - first + 1 != m1 - m0 {
-                        // Straddles a shard cut, or member ids are not
-                        // contiguous: no shard can own it outright.
-                        enc_aligned = false;
-                        break;
-                    }
-                    e += 1;
-                }
-                shard_encs.push(start..e);
-                if !enc_aligned {
-                    break;
-                }
-            }
-            if e != num_enclosures {
-                enc_aligned = false;
-            }
-            while shard_encs.len() < shards.len() {
-                shard_encs.push(num_enclosures..num_enclosures);
-            }
-        }
-        // The GM fan-out additionally indexes its standalone scratch by
-        // `server id - flat`, which requires the standalone tail to be
-        // dense after the blade region (true by construction).
+        // One whole-fleet shard at one thread. With more threads, a
+        // size-weighted partition of up to 2 shards per thread (so the
+        // pool's dynamic claiming can rebalance uneven racks), cut on
+        // enclosure boundaries; a pool only pays off when there are at
+        // least two shards to hand out.
+        let threads = cfg.threads.max(1);
+        let shards = cfg
+            .topology
+            .shard_ranges(if threads > 1 { threads * 2 } else { 1 });
+        let pool = (threads > 1 && shards.len() >= 2).then(|| WorkerPool::new(threads));
+        let shard_encs = cfg.topology.shard_enclosures(&shards);
         let flat = enc_members.len();
-        if !standalone_ids
+        let shard_sa = shards
             .iter()
-            .enumerate()
-            .all(|(k, s)| s.index() == flat + k)
-        {
-            enc_aligned = false;
-        }
+            .map(|r| (r.start.max(flat) - flat)..(r.end.max(flat) - flat))
+            .collect();
+        let vm_parts = if pool.is_some() && num_vms >= PAR_VM_THRESHOLD {
+            shards.len()
+        } else {
+            1
+        };
+        let vm_shards = vm_ranges(num_vms, vm_parts);
+        let scratch = shards.iter().map(|_| ShardScratch::default()).collect();
+        let shard_effects = shards
+            .iter()
+            .map(|r| ShardEffects::with_capacity(r.len()))
+            .collect();
 
         let injector = FaultInjector::new(&cfg.faults, n, num_enclosures, standalone_ids.len());
         let outage_windows = injector.plan().outages.clone();
@@ -555,8 +520,6 @@ impl Runner {
             enc_offsets,
             enc_members,
             standalone_ids,
-            scratch_power: Vec::new(),
-            scratch_caps: Vec::new(),
             scratch_consumption: Vec::new(),
             scratch_child_caps: Vec::new(),
             scratch_alloc: Vec::new(),
@@ -602,7 +565,10 @@ impl Runner {
             pool,
             shards,
             shard_encs,
-            enc_aligned,
+            shard_sa,
+            vm_shards,
+            scratch,
+            shard_effects,
             outage_windows,
             redundancy,
             gm_replica,
@@ -685,83 +651,6 @@ impl Runner {
     /// configured.
     pub fn em_replica(&self, e: usize) -> Option<&ReplicaState> {
         self.em_replicas.get(e)
-    }
-
-    /// The last-good slot backing `chan`/`idx` — the hold-last-good store.
-    fn last_good_slot(&mut self, chan: SensorChannel, idx: usize) -> &mut f64 {
-        match chan {
-            SensorChannel::ServerUtilization => &mut self.last_util_ec[idx],
-            SensorChannel::ServerPower => &mut self.last_power_sm[idx],
-            SensorChannel::EnclosurePower => &mut self.last_encpow_em[idx],
-            SensorChannel::GroupChildPower => &mut self.last_child_gm[idx],
-        }
-    }
-
-    /// The ingestion boundary: routes one raw sensor reading through the
-    /// fault injector, then applies the always-on hardening — non-finite
-    /// or negative values and dropped samples degrade to the last good
-    /// reading. Every controller input passes through here.
-    fn ingest(&mut self, chan: SensorChannel, ctrl: ControllerKind, idx: usize, raw: f64) -> f64 {
-        let t = self.ticks_done;
-        let reading = self.injector.sense(chan, idx, t, raw);
-        let delivered = match reading {
-            Reading::Clean(v) => Some(v),
-            Reading::Noisy(v) => {
-                self.fstats.sensor_noise += 1;
-                self.emit(|| TelemetryEvent::SensorFault {
-                    tick: t,
-                    controller: ctrl,
-                    index: idx,
-                    fault: SensorFaultKind::Noise,
-                });
-                Some(v)
-            }
-            Reading::Stuck(v) => {
-                self.fstats.sensor_stuck += 1;
-                self.emit(|| TelemetryEvent::SensorFault {
-                    tick: t,
-                    controller: ctrl,
-                    index: idx,
-                    fault: SensorFaultKind::Stuck,
-                });
-                Some(v)
-            }
-            Reading::Dropped => {
-                self.fstats.sensor_dropped += 1;
-                self.emit(|| TelemetryEvent::SensorFault {
-                    tick: t,
-                    controller: ctrl,
-                    index: idx,
-                    fault: SensorFaultKind::Dropped,
-                });
-                None
-            }
-        };
-        let value = match delivered {
-            Some(v) if v.is_finite() && v >= 0.0 => v,
-            Some(_) => {
-                self.fstats.clamped_inputs += 1;
-                self.emit(|| TelemetryEvent::Degradation {
-                    tick: t,
-                    controller: ctrl,
-                    index: idx,
-                    policy: DegradationPolicy::ClampNonFinite,
-                });
-                *self.last_good_slot(chan, idx)
-            }
-            None => {
-                self.fstats.degradations += 1;
-                self.emit(|| TelemetryEvent::Degradation {
-                    tick: t,
-                    controller: ctrl,
-                    index: idx,
-                    policy: DegradationPolicy::HoldLastGood,
-                });
-                *self.last_good_slot(chan, idx)
-            }
-        };
-        *self.last_good_slot(chan, idx) = value;
-        value
     }
 
     /// Writes a P-state unless the server's actuator is jammed; returns
@@ -1062,13 +951,6 @@ impl Runner {
         self.apply_bus_events(events);
     }
 
-    /// Whether enclosure `e`'s standby currently leads (its primary is
-    /// deposed), so the EM keeps operating through the primary's outage.
-    #[inline]
-    fn em_promoted(&self, e: usize) -> bool {
-        self.em_replicas.get(e).is_some_and(|r| r.promoted)
-    }
-
     /// Whether the GM standby currently leads.
     #[inline]
     fn gm_promoted(&self) -> bool {
@@ -1291,9 +1173,10 @@ impl Runner {
         self.ticks_done
     }
 
-    /// Total wall-clock nanoseconds this run has spent inside parallel
-    /// shard phases (simulator step, EC/SM/EM epochs, GM fan-out,
-    /// electrical clamp). Zero for a sequential runner. The complement
+    /// Total wall-clock nanoseconds this run has spent inside pooled
+    /// shard phases (simulator step, EC/SM/EM epochs, GM window pass,
+    /// electrical clamp). Zero at one thread, where every shard phase
+    /// runs inline without a pool. The complement
     /// against the run's total wall time is the sequential global phase
     /// the `scale` bench reports.
     pub fn parallel_nanos(&self) -> u64 {
@@ -1302,7 +1185,7 @@ impl Runner {
 
     /// Total shard steals the pool's workers have performed this run —
     /// how often an idle worker pulled a shard from a busy peer's deque.
-    /// Zero for a sequential runner (and for perfectly balanced fleets).
+    /// Zero at one thread (and for perfectly balanced fleets).
     pub fn steal_count(&self) -> u64 {
         self.pool.as_ref().map_or(0, |p| p.steal_count())
     }
@@ -1349,7 +1232,7 @@ impl Runner {
             self.act();
         }
         match &self.pool {
-            Some(pool) => self.sim.step_parallel(pool, &self.shards),
+            Some(pool) => self.sim.step_parallel(pool, &self.shards, &self.shard_encs),
             None => self.sim.step(),
         }
         if let Some(trace) = &mut self.power_trace {
@@ -1395,68 +1278,41 @@ impl Runner {
 
     /// Per-tick VMC accumulators: every VM's real and apparent
     /// utilization folds into its cumulative sums and window maxima.
-    /// Each slot is independent (no cross-VM arithmetic), so the
-    /// parallel fan-out over even VM ranges is bit-identical to the
-    /// sequential loop; tiny fleets skip the barrier overhead.
+    /// Each slot is independent (no cross-VM arithmetic), so any split of
+    /// the VM range gives the same bits; `vm_shards` is one range unless
+    /// a pool has enough VMs to share out.
     fn accumulate_vm_windows(&mut self) {
-        let num_vms = self.cum_real.len();
-        let pool = match &self.pool {
-            Some(pool) if num_vms >= PAR_VM_THRESHOLD => pool,
-            _ => {
-                for j in 0..num_vms {
-                    let vm = VmId(j);
-                    let real = self.sim.real_vm_utilization(vm);
-                    let apparent = self.sim.apparent_vm_utilization(vm);
-                    self.cum_real[j] += real;
-                    self.cum_apparent[j] += apparent;
-                    self.win_max_real[j] = self.win_max_real[j].max(real);
-                    self.win_max_apparent[j] = self.win_max_apparent[j].max(apparent);
-                }
-                return;
-            }
-        };
-        struct VmShard<'a> {
-            lo: usize,
-            cum_real: &'a mut [f64],
-            cum_apparent: &'a mut [f64],
-            win_max_real: &'a mut [f64],
-            win_max_apparent: &'a mut [f64],
-        }
-        let ranges = vm_ranges(num_vms, self.shards.len());
         let view = self.sim.vm_view();
-        let cum_reals = split_ranges(&mut self.cum_real, &ranges);
-        let cum_apparents = split_ranges(&mut self.cum_apparent, &ranges);
-        let win_reals = split_ranges(&mut self.win_max_real, &ranges);
-        let win_apparents = split_ranges(&mut self.win_max_apparent, &ranges);
-        let cells: Vec<Mutex<VmShard<'_>>> = ranges
-            .iter()
-            .zip(cum_reals)
-            .zip(cum_apparents)
-            .zip(win_reals)
-            .zip(win_apparents)
-            .map(
-                |((((range, cum_real), cum_apparent), win_max_real), win_max_apparent)| {
-                    Mutex::new(VmShard {
-                        lo: range.start,
-                        cum_real,
-                        cum_apparent,
-                        win_max_real,
-                        win_max_apparent,
-                    })
-                },
+        let mut cum_real = Carve::new(&mut self.cum_real);
+        let mut cum_apparent = Carve::new(&mut self.cum_apparent);
+        let mut win_real = Carve::new(&mut self.win_max_real);
+        let mut win_apparent = Carve::new(&mut self.win_max_apparent);
+        let shards = self.vm_shards.iter().map(move |r| {
+            (
+                r.start,
+                cum_real.take(r.clone()),
+                cum_apparent.take(r.clone()),
+                win_real.take(r.clone()),
+                win_apparent.take(r.clone()),
             )
-            .collect();
-        pool.execute(cells.len(), &|k| {
-            let mut guard = cells[k].lock().expect("vm shard lock");
-            let sh = &mut *guard;
-            for off in 0..sh.cum_real.len() {
-                let vm = VmId(sh.lo + off);
+        });
+        par::for_each_shard(self.pool.as_ref(), shards, move |sh| {
+            let (lo, cum_real, cum_apparent, win_real, win_apparent) = sh;
+            // One length for all four slices, so the loop indexes unchecked.
+            let n = cum_real.len();
+            let (cum_apparent, win_real, win_apparent) = (
+                &mut cum_apparent[..n],
+                &mut win_real[..n],
+                &mut win_apparent[..n],
+            );
+            for off in 0..n {
+                let vm = VmId(lo + off);
                 let real = view.real_vm_utilization(vm);
                 let apparent = view.apparent_vm_utilization(vm);
-                sh.cum_real[off] += real;
-                sh.cum_apparent[off] += apparent;
-                sh.win_max_real[off] = sh.win_max_real[off].max(real);
-                sh.win_max_apparent[off] = sh.win_max_apparent[off].max(apparent);
+                cum_real[off] += real;
+                cum_apparent[off] += apparent;
+                win_real[off] = win_real[off].max(real);
+                win_apparent[off] = win_apparent[off].max(apparent);
             }
         });
     }
@@ -1740,11 +1596,7 @@ impl Runner {
             self.arb_ns += t0.elapsed().as_nanos() as u64;
         }
         if self.elec.is_some() {
-            if self.pool.is_some() {
-                self.elec_clamp_parallel();
-            } else {
-                self.elec_clamp_seq();
-            }
+            self.elec_clamp();
         }
         // The safety sweep observes the fully settled tick: every
         // controller, the bus, and the electrical clamp have acted.
@@ -1753,93 +1605,84 @@ impl Runner {
         }
     }
 
-    /// Sequential electrical CAP clamp: every powered-on server whose
-    /// P-state exceeds its fuse-level cap is clamped down.
-    fn elec_clamp_seq(&mut self) {
-        let t = self.ticks_done;
-        let elec = self.elec.take().expect("caller checked elec is present");
-        for (i, capper) in elec.iter().enumerate() {
-            let s = ServerId(i);
-            if !self.sim.is_on(s) {
-                continue;
-            }
-            let cur = self.sim.pstate(s);
-            let clamped = capper.clamp(cur);
-            if clamped != cur && self.write_pstate(s, clamped, ControllerKind::Electrical) {
-                self.emit(|| TelemetryEvent::PStateChange {
-                    tick: t,
-                    server: i,
-                    from: cur.index(),
-                    to: clamped.index(),
-                    source: ControllerKind::Electrical,
-                });
-            }
+    /// Reduces the shards' buffers in shard order after a sharded epoch:
+    /// fault counters and P-state conflicts fold into the run, and `each`
+    /// replays whatever else the epoch buffered (telemetry, grants).
+    /// Ascending shards own ascending servers and enclosures, so the
+    /// replay is the one-shard order exactly. Returns the shards' summed
+    /// static-cap violation verdicts and leaves every buffer empty.
+    fn reduce_shards(
+        &mut self,
+        mut each: impl FnMut(&mut Self, &mut ShardScratch),
+    ) -> ViolationCounter {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut effects = std::mem::take(&mut self.shard_effects);
+        let mut win = ViolationCounter::default();
+        for (sc, eff) in scratch.iter_mut().zip(&mut effects) {
+            self.fstats.merge(&sc.fstats);
+            sc.fstats = FaultStats::default();
+            win.merge(std::mem::take(&mut sc.win));
+            self.sim.absorb_shard_effects(eff);
+            each(self, sc);
         }
-        self.elec = Some(elec);
+        self.scratch = scratch;
+        self.shard_effects = effects;
+        win
     }
 
-    /// Sharded electrical CAP clamp: each worker clamps its own servers,
-    /// drawing the conditional actuator-jam verdict from the per-server
-    /// counter stream (order-free, so no pre-sampling is needed) and
-    /// buffering telemetry; the reduction replays buffers in ascending
-    /// shard order, which is ascending server order — the sequential
-    /// emission order exactly.
-    fn elec_clamp_parallel(&mut self) {
+    /// Records buffered telemetry in order and empties the buffer.
+    fn replay(&mut self, events: &mut Vec<TelemetryEvent>) {
+        if events.is_empty() {
+            return;
+        }
+        let events = events.drain(..);
+        if let Some(r) = &mut self.recorder {
+            events.for_each(|ev| r.record(ev));
+        }
+    }
+
+    /// The electrical CAP clamp: every powered-on server whose P-state
+    /// exceeds its fuse-level cap is clamped down, unless its actuator is
+    /// jammed (the conditional draw comes from the per-server counter
+    /// stream, so it is order-free across shards).
+    fn elec_clamp(&mut self) {
         let t = self.ticks_done;
         let recording = self.recording();
-        let elec = self.elec.take().expect("caller checked elec is present");
-        let (view, acts) = self.sim.epoch_shards(&self.shards);
-        let draws = self.injector.actuator_shards(&self.shards);
-        struct ElecShard<'a> {
-            range: Range<usize>,
-            act: ActuatorShard<'a>,
-            draw: ActuatorDrawShard<'a>,
-            fstats: FaultStats,
-            telemetry: Vec<TelemetryEvent>,
-        }
-        let cells: Vec<Mutex<ElecShard<'_>>> = self
-            .shards
-            .iter()
-            .zip(acts)
-            .zip(draws)
-            .map(|((range, act), draw)| {
-                Mutex::new(ElecShard {
-                    range: range.clone(),
-                    act,
-                    draw,
-                    fstats: FaultStats::default(),
-                    telemetry: Vec::new(),
-                })
-            })
-            .collect();
-        let cappers: &[ElectricalCapper] = &elec;
-        let pool = self.pool.as_ref().expect("parallel clamp requires a pool");
-        pool.execute(cells.len(), &|k| {
-            let mut guard = cells[k].lock().expect("elec shard lock");
-            let sh = &mut *guard;
-            for i in sh.range.clone() {
+        let Some(cappers) = &self.elec else { return };
+        let ranges = &self.shards;
+        let (view, mut acts) = self.sim.epoch_shards();
+        let mut draws = self.injector.actuator_shards();
+        let shards = (self.scratch.iter_mut().zip(&mut self.shard_effects))
+            .enumerate()
+            .map(move |(k, (sc, eff))| {
+                let r = ranges[k].clone();
+                (r.clone(), acts.take(r.clone(), eff), draws.take(r), sc)
+            });
+        par::for_each_shard(self.pool.as_ref(), shards, move |sh| {
+            let (range, mut act, mut draw, sc) = sh;
+            for i in range {
                 let s = ServerId(i);
                 if !view.is_on(s) {
                     continue;
                 }
-                let cur = sh.act.pstate(s);
+                let cur = act.pstate(s);
                 let clamped = cappers[i].clamp(cur);
                 if clamped == cur {
                     continue;
                 }
-                if sh.draw.pstate_write_blocked(i, t) {
-                    sh.fstats.actuator_blocked += 1;
+                if draw.pstate_write_blocked(i, t) {
+                    sc.fstats.actuator_blocked += 1;
                     if recording {
-                        sh.telemetry.push(TelemetryEvent::ActuatorFault {
+                        sc.telemetry.push(TelemetryEvent::ActuatorFault {
                             tick: t,
                             server: i,
                             source: ControllerKind::Electrical,
                         });
                     }
                 } else {
-                    sh.act.set_pstate(s, clamped);
+                    act.set_pstate(s, clamped);
                     if recording {
-                        sh.telemetry.push(TelemetryEvent::PStateChange {
+                        sc.telemetry.push(TelemetryEvent::PStateChange {
                             tick: t,
                             server: i,
                             from: cur.index(),
@@ -1850,63 +1693,21 @@ impl Runner {
                 }
             }
         });
-        let mut effects = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let sh = cell.into_inner().expect("worker panics already propagated");
-            self.fstats.merge(&sh.fstats);
-            if let Some(r) = &mut self.recorder {
-                for ev in sh.telemetry {
-                    r.record(ev);
-                }
-            }
-            effects.push(sh.act.into_effects());
-        }
-        self.sim.absorb_shard_effects(effects);
-        self.elec = Some(elec);
+        self.reduce_shards(|run, sc| run.replay(&mut sc.telemetry));
     }
 
-    /// Window-average power per server since the given snapshot, updating
-    /// the snapshot in place.
-    fn window_avg_power(sim: &Simulation, snap: &mut [f64], i: usize, ticks: u64) -> f64 {
-        let cum = sim.cumulative_power(ServerId(i));
-        let avg = (cum - snap[i]) / ticks.max(1) as f64;
-        snap[i] = cum;
-        avg
-    }
-
+    /// The EC epoch: every powered-on server's EC reads its utilization
+    /// window through the ingestion boundary and writes a P-state (merged
+    /// with the SM's standing demand in the min-merge mode).
     fn ec_epoch(&mut self, window: u64) {
-        if self.pool.is_some() {
-            self.ec_epoch_parallel(window);
-        } else {
-            self.ec_epoch_seq(window);
-        }
-    }
-
-    fn sm_epoch(&mut self, window: u64) {
-        // The uncoordinated SM's conditional P-state write draws its
-        // actuator-jam verdict from the per-server counter stream, which
-        // is order-free across shards — so every SM variant parallelizes.
-        if self.pool.is_some() {
-            self.sm_epoch_parallel(window);
-        } else {
-            self.sm_epoch_seq(window);
-        }
-    }
-
-    fn em_epoch(&mut self, window: u64) {
-        if self.pool.is_some() && self.enc_aligned {
-            self.em_epoch_parallel(window);
-        } else {
-            self.em_epoch_seq(window);
-        }
-    }
-
-    fn ec_epoch_parallel(&mut self, window: u64) {
+        let window = window.max(1) as f64;
         let t = self.ticks_done;
         let recording = self.recording();
         let merges = self.mode.merges_min_pstate();
-        let (view, cells) = carve_shards(
+        let (view, shards) = server_shards(
             &self.shards,
+            &mut self.scratch,
+            &mut self.shard_effects,
             &mut self.sim,
             &mut self.bank,
             &mut self.injector,
@@ -1915,35 +1716,30 @@ impl Runner {
             &mut self.last_util_ec,
             &mut self.sm_hold,
         );
-        let pool = self.pool.as_ref().expect("parallel epoch requires a pool");
-        pool.execute(cells.len(), &|k| {
-            let mut guard = cells[k].lock().expect("epoch shard lock");
-            let sh = &mut *guard;
-            for off in 0..sh.snap.len() {
-                let i = sh.lo + off;
+        par::for_each_shard(self.pool.as_ref(), shards, move |mut sh| {
+            for i in sh.range.clone() {
+                let off = i - sh.range.start;
                 let s = ServerId(i);
                 if !view.is_on(s) {
                     continue;
                 }
                 let cum = view.cumulative_utilization(s);
-                let raw = (cum - sh.snap[off]) / window.max(1) as f64;
+                let raw = (cum - sh.snap[off]) / window;
                 sh.snap[off] = cum;
                 let reading = sh.sense.sense(i, t, raw);
-                let util = shard_ingest(reading, t, ControllerKind::Ec, i, sh, off, recording);
+                let util = shard_ingest(reading, t, ControllerKind::Ec, i, &mut sh, off, recording);
                 let desired = sh.bank.ec_step(i, util);
-                let applied = if merges {
-                    match sh.sm_hold[off] {
-                        Some(hold) => PState(desired.index().max(hold.index())),
-                        None => desired,
-                    }
-                } else {
-                    desired
+                let applied = match merges.then(|| sh.sm_hold[off]).flatten() {
+                    // Naïve "min frequency wins" merge with the SM's
+                    // standing demand.
+                    Some(hold) => PState(desired.index().max(hold.index())),
+                    None => desired,
                 };
                 let before = sh.act.pstate(s);
                 if sh.draw.pstate_write_blocked(i, t) {
-                    sh.fstats.actuator_blocked += 1;
+                    sh.sc.fstats.actuator_blocked += 1;
                     if recording {
-                        sh.telemetry.push(TelemetryEvent::ActuatorFault {
+                        sh.sc.telemetry.push(TelemetryEvent::ActuatorFault {
                             tick: t,
                             server: i,
                             source: ControllerKind::Ec,
@@ -1952,7 +1748,7 @@ impl Runner {
                 } else {
                     sh.act.set_pstate(s, applied);
                     if recording && before != applied {
-                        sh.telemetry.push(TelemetryEvent::PStateChange {
+                        sh.sc.telemetry.push(TelemetryEvent::PStateChange {
                             tick: t,
                             server: i,
                             from: before.index(),
@@ -1963,31 +1759,24 @@ impl Runner {
                 }
             }
         });
-        // Fixed-shard-order reduction: ascending shards are ascending
-        // server ids, so replaying each shard's buffers in order restores
-        // the sequential epoch's exact emission order.
-        let mut effects = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let sh = cell.into_inner().expect("worker panics already propagated");
-            self.fstats.merge(&sh.fstats);
-            if let Some(r) = &mut self.recorder {
-                for ev in sh.telemetry {
-                    r.record(ev);
-                }
-            }
-            effects.push(sh.act.into_effects());
-        }
-        self.sim.absorb_shard_effects(effects);
+        self.reduce_shards(|run, sc| run.replay(&mut sc.telemetry));
     }
 
-    fn sm_epoch_parallel(&mut self, window: u64) {
+    /// The SM epoch: every server's power window is checked against its
+    /// static cap (whether or not the SM is deployed), then each online
+    /// SM either retunes its EC's `r_ref` (coordinated) or forces a
+    /// P-state on the actuator the EC also writes (uncoordinated).
+    fn sm_epoch(&mut self, window: u64) {
+        let window = window.max(1) as f64;
         let t = self.ticks_done;
         let recording = self.recording();
         let mask_sm = self.mask.sm;
         let coordinated = self.mode.sm_actuates_r_ref();
         let merges = self.mode.merges_min_pstate();
-        let (view, cells) = carve_shards(
+        let (view, shards) = server_shards(
             &self.shards,
+            &mut self.scratch,
+            &mut self.shard_effects,
             &mut self.sim,
             &mut self.bank,
             &mut self.injector,
@@ -1998,28 +1787,28 @@ impl Runner {
         );
         let outages: &[OutageWindow] = &self.outage_windows;
         let cap_loc: &[f64] = &self.cap_loc;
-        let pool = self.pool.as_ref().expect("parallel epoch requires a pool");
-        pool.execute(cells.len(), &|k| {
-            let mut guard = cells[k].lock().expect("epoch shard lock");
-            let sh = &mut *guard;
-            for off in 0..sh.snap.len() {
-                let i = sh.lo + off;
+        par::for_each_shard(self.pool.as_ref(), shards, move |mut sh| {
+            for i in sh.range.clone() {
+                let off = i - sh.range.start;
                 let s = ServerId(i);
+                let cum = view.cumulative_power(s);
                 if !view.is_on(s) {
                     // Keep snapshots current so a later power-on starts a
                     // fresh window.
-                    sh.snap[off] = view.cumulative_power(s);
+                    sh.snap[off] = cum;
                     continue;
                 }
-                let cum = view.cumulative_power(s);
-                let raw = (cum - sh.snap[off]) / window.max(1) as f64;
+                let raw = (cum - sh.snap[off]) / window;
                 sh.snap[off] = cum;
+                // The monitor reads the same (possibly faulty) sensor the
+                // SM does: faults distort what is *observed*, not what is
+                // true.
                 let reading = sh.sense.sense(i, t, raw);
-                let avg = shard_ingest(reading, t, ControllerKind::Sm, i, sh, off, recording);
+                let avg = shard_ingest(reading, t, ControllerKind::Sm, i, &mut sh, off, recording);
                 let violated_static = avg > cap_loc[i];
-                sh.win.record(violated_static);
+                sh.sc.win.record(violated_static);
                 if violated_static && recording {
-                    sh.telemetry.push(TelemetryEvent::Violation {
+                    sh.sc.telemetry.push(TelemetryEvent::Violation {
                         tick: t,
                         level: BudgetLevel::Server,
                         observed_watts: avg,
@@ -2030,10 +1819,13 @@ impl Runner {
                 if !mask_sm {
                     continue;
                 }
+                // An offline SM takes no control action; the EC keeps
+                // running against its last `r_ref` and the static-budget
+                // monitor above keeps reporting.
                 if offline_in(outages, ControllerLayer::Sm, i, t) {
-                    sh.fstats.outage_epochs += 1;
+                    sh.sc.fstats.outage_epochs += 1;
                     if recording {
-                        sh.telemetry.push(TelemetryEvent::ControllerOutage {
+                        sh.sc.telemetry.push(TelemetryEvent::ControllerOutage {
                             tick: t,
                             controller: ControllerKind::Sm,
                             index: i,
@@ -2041,9 +1833,11 @@ impl Runner {
                     }
                     continue;
                 }
+                // A breach of the dynamically granted budget (tighter than
+                // the static cap) is reported as an effective violation.
                 let eff_cap = sh.bank.effective_cap_watts(i);
                 if avg > eff_cap && eff_cap < cap_loc[i] && recording {
-                    sh.telemetry.push(TelemetryEvent::Violation {
+                    sh.sc.telemetry.push(TelemetryEvent::Violation {
                         tick: t,
                         level: BudgetLevel::Server,
                         observed_watts: avg,
@@ -2054,246 +1848,159 @@ impl Runner {
                 if coordinated {
                     let prev_r_ref = sh.bank.r_ref(i);
                     sh.bank.sm_step_coordinated(i, avg);
+                    let r_ref = sh.bank.r_ref(i);
+                    if recording && r_ref != prev_r_ref {
+                        sh.sc.telemetry.push(TelemetryEvent::RRefUpdate {
+                            tick: t,
+                            server: i,
+                            r_ref,
+                        });
+                    }
+                    continue;
+                }
+                let current = sh.act.pstate(s);
+                let (_, forced) = sh.bank.sm_step_uncoordinated(i, avg, current);
+                if merges {
+                    sh.sm_hold[off] = forced;
+                }
+                // The race (in the non-merge mode): this write lands on the
+                // same actuator the EC writes every tick. The jam verdict is
+                // drawn only when a write actually happens.
+                let Some(p) = forced else { continue };
+                let applied = if merges {
+                    PState(p.index().max(current.index()))
+                } else {
+                    p
+                };
+                if sh.draw.pstate_write_blocked(i, t) {
+                    sh.sc.fstats.actuator_blocked += 1;
                     if recording {
-                        let r_ref = sh.bank.r_ref(i);
-                        if r_ref != prev_r_ref {
-                            sh.telemetry.push(TelemetryEvent::RRefUpdate {
-                                tick: t,
-                                server: i,
-                                r_ref,
-                            });
-                        }
+                        sh.sc.telemetry.push(TelemetryEvent::ActuatorFault {
+                            tick: t,
+                            server: i,
+                            source: ControllerKind::Sm,
+                        });
                     }
                 } else {
-                    let current = sh.act.pstate(s);
-                    let (_, forced) = sh.bank.sm_step_uncoordinated(i, avg, current);
-                    if merges {
-                        sh.sm_hold[off] = forced;
-                    }
-                    // The race (in the non-merge mode): this write lands on
-                    // the same actuator the EC writes every tick. The jam
-                    // verdict comes from the per-server counter stream and
-                    // is drawn only when a write actually happens — the
-                    // sequential short-circuit exactly.
-                    if let Some(p) = forced {
-                        let applied = if merges {
-                            PState(p.index().max(current.index()))
-                        } else {
-                            p
-                        };
-                        if sh.draw.pstate_write_blocked(i, t) {
-                            sh.fstats.actuator_blocked += 1;
-                            if recording {
-                                sh.telemetry.push(TelemetryEvent::ActuatorFault {
-                                    tick: t,
-                                    server: i,
-                                    source: ControllerKind::Sm,
-                                });
-                            }
-                        } else {
-                            sh.act.set_pstate(s, applied);
-                            if recording && applied != current {
-                                sh.telemetry.push(TelemetryEvent::PStateChange {
-                                    tick: t,
-                                    server: i,
-                                    from: current.index(),
-                                    to: applied.index(),
-                                    source: ControllerKind::Sm,
-                                });
-                            }
-                        }
+                    sh.act.set_pstate(s, applied);
+                    if recording && applied != current {
+                        sh.sc.telemetry.push(TelemetryEvent::PStateChange {
+                            tick: t,
+                            server: i,
+                            from: current.index(),
+                            to: applied.index(),
+                            source: ControllerKind::Sm,
+                        });
                     }
                 }
             }
         });
-        let mut effects = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let sh = cell.into_inner().expect("worker panics already propagated");
-            self.fstats.merge(&sh.fstats);
-            // Violation windows are order-free counters; the sequential
-            // epoch records each verdict into both the lifetime and the
-            // VMC-window counter.
-            self.violations.server.merge(sh.win);
-            self.win_sm.merge(sh.win);
-            if let Some(r) = &mut self.recorder {
-                for ev in sh.telemetry {
-                    r.record(ev);
-                }
-            }
-            effects.push(sh.act.into_effects());
-        }
-        self.sim.absorb_shard_effects(effects);
+        let win = self.reduce_shards(|run, sc| run.replay(&mut sc.telemetry));
+        self.violations.server.merge(win);
+        self.win_sm.merge(win);
     }
 
-    /// The parallel EM epoch. Requires `enc_aligned`: every enclosure is
-    /// wholly owned by one shard, so each worker runs the full sequential
-    /// per-enclosure pipeline — member window averages, enclosure ingest,
+    /// The EM epoch. Each shard runs the whole per-enclosure pipeline for
+    /// the enclosures it owns — member window averages, enclosure ingest,
     /// violation accounting, offline fallback, and `reallocate` — against
-    /// its own slices. Side effects that must land in the sequential
-    /// order (telemetry, bus grant deliveries, state syncs) are buffered
-    /// per enclosure and replayed ascending in the reduction; every
-    /// random draw — sensors, actuators, plan-level message loss — comes
-    /// from a per-instance counter stream, so nothing is pre-sampled.
-    fn em_epoch_parallel(&mut self, window: u64) {
+    /// its own slices. What must land in enclosure order across shards
+    /// (telemetry, bus grant deliveries, state syncs) is buffered per
+    /// enclosure and replayed ascending in the reduction; every random
+    /// draw — sensors, actuators, plan-level message loss — comes from a
+    /// per-instance counter stream, so nothing is pre-sampled.
+    fn em_epoch(&mut self, window: u64) {
+        let window = window.max(1) as f64;
         let t = self.ticks_done;
         let recording = self.recording();
         let mask_em = self.mask.em;
         let flows_down = self.mode.budgets_flow_down();
-        let lease_free = self.lease_ticks == 0;
-
-        /// One enclosure's ordered side effects, replayed in the
-        /// reduction: its buffered telemetry, then (coordinated modes)
-        /// its member grant deliveries through the bus, then — for
-        /// enclosures whose EM completed an online epoch — the
-        /// conservation check and the state sync to its standby.
-        struct EmEncRecord {
-            enc: usize,
-            telemetry: Vec<TelemetryEvent>,
-            /// This enclosure's member grants, as a range of its shard's
-            /// `grants`.
-            grants: Option<Range<usize>>,
-            /// Whether the EM ran a full (online) epoch this tick.
-            online: bool,
-            /// Sum of the reallocated member budgets (conservation).
-            alloc_sum: f64,
-            /// The effective cap the reallocation ran against.
-            eff_cap: f64,
-        }
-        struct EmShard<'a> {
-            /// First global server id of this shard's server range.
-            lo: usize,
-            /// First global enclosure id of this shard's enclosure range.
-            enc_lo: usize,
-            bank: BankShard<'a>,
-            act: ActuatorShard<'a>,
-            draw: ActuatorDrawShard<'a>,
-            sense: SensorDrawShard<'a>,
-            snap_pow: &'a mut [f64],
-            snap_encpow: &'a mut [f64],
-            last_encpow: &'a mut [f64],
-            em_was_down: &'a mut [bool],
-            ems: &'a mut [GroupCapper],
-            power: Vec<f64>,
-            caps: Vec<f64>,
-            alloc: Vec<f64>,
-            grants: Vec<f64>,
-            fstats: FaultStats,
-            win: ViolationCounter,
-            records: Vec<EmEncRecord>,
-        }
-
+        // Members that lose their EM fall back to their local static caps
+        // (stale dynamic grants from a dead EM could strangle them
+        // indefinitely). With leases on, the lease state machine covers
+        // this uniformly — orphaned grants simply expire; with a warm
+        // standby the detector promotes it instead.
+        let local_fallback = flows_down && self.lease_ticks == 0 && !self.redundancy.em_standby;
+        let (ranges, shard_encs) = (&self.shards, &self.shard_encs);
+        let (view, mut acts) = self.sim.epoch_shards();
+        let mut banks = self.bank.shards();
+        let (mut draws, mut senses) = self.injector.draw_shards(SensorChannel::EnclosurePower);
+        let mut snap_pows = Carve::new(&mut self.snap_power_em);
+        let mut snap_encs = Carve::new(&mut self.snap_encpow_em);
+        let mut last_encs = Carve::new(&mut self.last_encpow_em);
+        let mut was_downs = Carve::new(&mut self.em_was_down);
+        let mut emss = Carve::new(&mut self.ems);
+        let shards = (self.scratch.iter_mut().zip(&mut self.shard_effects))
+            .enumerate()
+            .map(move |(k, (sc, eff))| {
+                let (r, encs) = (ranges[k].clone(), shard_encs[k].clone());
+                EmShard {
+                    lo: r.start,
+                    enc_lo: encs.start,
+                    bank: banks.take(r.clone()),
+                    act: acts.take(r.clone(), eff),
+                    draw: draws.take(r.clone()),
+                    sense: senses.take(encs.clone()),
+                    snap_pow: snap_pows.take(r),
+                    snap_encpow: snap_encs.take(encs.clone()),
+                    last_encpow: last_encs.take(encs.clone()),
+                    em_was_down: was_downs.take(encs.clone()),
+                    ems: emss.take(encs),
+                    sc,
+                }
+            });
         // Promotion state is frozen for the epoch (the failure detector
-        // only runs in the sequential global phase), so a plain snapshot
-        // is safe to share read-only across workers.
-        let em_promoted_snapshot: Vec<bool> =
-            (0..self.ems.len()).map(|e| self.em_promoted(e)).collect();
-        let (view, acts) = self.sim.epoch_shards(&self.shards);
-        let banks = self.bank.shards(&self.shards);
-        let draws = self.injector.em_draw_shards(&self.shards, &self.shard_encs);
-        let snap_pows = split_ranges(&mut self.snap_power_em, &self.shards);
-        let snap_encs = split_ranges(&mut self.snap_encpow_em, &self.shard_encs);
-        let last_encs = split_ranges(&mut self.last_encpow_em, &self.shard_encs);
-        let was_downs = split_ranges(&mut self.em_was_down, &self.shard_encs);
-        let emss = split_ranges(&mut self.ems, &self.shard_encs);
-        let cells: Vec<Mutex<EmShard<'_>>> = self
-            .shards
-            .iter()
-            .zip(self.shard_encs.iter())
-            .zip(banks)
-            .zip(acts)
-            .zip(draws)
-            .zip(snap_pows)
-            .zip(snap_encs)
-            .zip(last_encs)
-            .zip(was_downs)
-            .zip(emss)
-            .map(
-                |(
-                    (
-                        (
-                            (
-                                (((((range, enc_range), bank), act), (draw, sense)), snap_pow),
-                                snap_encpow,
-                            ),
-                            last_encpow,
-                        ),
-                        em_was_down,
-                    ),
-                    ems,
-                )| {
-                    Mutex::new(EmShard {
-                        lo: range.start,
-                        enc_lo: enc_range.start,
-                        bank,
-                        act,
-                        draw,
-                        sense,
-                        snap_pow,
-                        snap_encpow,
-                        last_encpow,
-                        em_was_down,
-                        ems,
-                        power: Vec::new(),
-                        caps: Vec::new(),
-                        alloc: Vec::new(),
-                        grants: Vec::new(),
-                        fstats: FaultStats::default(),
-                        win: ViolationCounter::new(),
-                        records: Vec::new(),
-                    })
-                },
-            )
-            .collect();
+        // only runs in the global phase), so shards read it directly.
+        let replicas: &[ReplicaState] = &self.em_replicas;
         let outages: &[OutageWindow] = &self.outage_windows;
-        let promoted: &[bool] = &em_promoted_snapshot;
-        let em_standby = self.redundancy.em_standby;
         let cap_loc: &[f64] = &self.cap_loc;
         let enc_offsets: &[usize] = &self.enc_offsets;
         let enc_members: &[ServerId] = &self.enc_members;
         let models: &[ServerModel] = &self.models;
-        let pool = self.pool.as_ref().expect("parallel epoch requires a pool");
-        pool.execute(cells.len(), &|kk| {
-            let mut guard = cells[kk].lock().expect("epoch shard lock");
-            let sh = &mut *guard;
-            for ee in 0..sh.ems.len() {
-                let e = sh.enc_lo + ee;
-                let (m0, m1) = (enc_offsets[e], enc_offsets[e + 1]);
-                let mut rec = EmEncRecord {
-                    enc: e,
-                    telemetry: Vec::new(),
-                    grants: None,
-                    online: false,
-                    alloc_sum: 0.0,
-                    eff_cap: 0.0,
-                };
-                sh.power.clear();
-                sh.caps.clear();
-                for &s in &enc_members[m0..m1] {
-                    let off = s.index() - sh.lo;
+        par::for_each_shard(self.pool.as_ref(), shards, move |sh| {
+            let EmShard {
+                lo,
+                enc_lo,
+                mut bank,
+                mut act,
+                mut draw,
+                mut sense,
+                snap_pow,
+                snap_encpow,
+                last_encpow,
+                em_was_down,
+                ems,
+                sc,
+            } = sh;
+            for (ee, em) in ems.iter_mut().enumerate() {
+                let e = enc_lo + ee;
+                let members = &enc_members[enc_offsets[e]..enc_offsets[e + 1]];
+                let events = sc.telemetry.len();
+                sc.power.clear();
+                for &s in members {
+                    let off = s.index() - lo;
                     let cum = view.cumulative_power(s);
-                    let avg = (cum - sh.snap_pow[off]) / window.max(1) as f64;
-                    sh.snap_pow[off] = cum;
-                    sh.power.push(avg);
+                    sc.power.push((cum - snap_pow[off]) / window);
+                    snap_pow[off] = cum;
                 }
+                // Level total includes the enclosure's shared base power.
                 let enc_cum = view.cumulative_enclosure_power(EnclosureId(e));
-                let raw_total = (enc_cum - sh.snap_encpow[ee]) / window.max(1) as f64;
-                sh.snap_encpow[ee] = enc_cum;
-                let reading = sh.sense.sense(e, t, raw_total);
+                let raw_total = (enc_cum - snap_encpow[ee]) / window;
+                snap_encpow[ee] = enc_cum;
                 let total = ingest_buffered(
-                    reading,
+                    sense.sense(e, t, raw_total),
                     t,
                     ControllerKind::Em,
                     e,
-                    &mut sh.fstats,
-                    &mut rec.telemetry,
-                    &mut sh.last_encpow[ee],
+                    &mut sc.fstats,
+                    &mut sc.telemetry,
+                    &mut last_encpow[ee],
                     recording,
                 );
-                let static_cap = sh.ems[ee].static_cap_watts();
+                let static_cap = em.static_cap_watts();
                 let violated_static = total > static_cap;
-                sh.win.record(violated_static);
+                sc.win.record(violated_static);
                 if violated_static && recording {
-                    rec.telemetry.push(TelemetryEvent::Violation {
+                    sc.telemetry.push(TelemetryEvent::Violation {
                         tick: t,
                         level: BudgetLevel::Enclosure,
                         observed_watts: total,
@@ -2301,612 +2008,213 @@ impl Runner {
                         effective: false,
                     });
                 }
-                if !mask_em {
-                    sh.records.push(rec);
-                    continue;
-                }
-                if offline_in(outages, ControllerLayer::Em, e, t) && !promoted[e] {
-                    if !sh.em_was_down[ee] {
-                        sh.em_was_down[ee] = true;
-                        // Members just lost their parent manager: fall back
-                        // to local static caps (stale dynamic grants from a
-                        // dead EM could strangle them indefinitely). With
-                        // leases on, the lease state machine covers this
-                        // uniformly — orphaned grants simply expire; with a
-                        // warm standby the detector promotes it instead, so
-                        // the static-cap fallback stays out of the way.
-                        if flows_down && lease_free && !em_standby {
-                            for &s in &enc_members[m0..m1] {
-                                sh.bank.set_granted_cap(s.index(), f64::INFINITY);
-                                sh.fstats.degradations += 1;
+                let mut rec = EmRecord {
+                    enc: e,
+                    events: 0,
+                    grants: 0..0,
+                    online: false,
+                    alloc_sum: 0.0,
+                    eff_cap: 0.0,
+                };
+                'epoch: {
+                    if !mask_em {
+                        break 'epoch;
+                    }
+                    let promoted = replicas.get(e).is_some_and(|r| r.promoted);
+                    if offline_in(outages, ControllerLayer::Em, e, t) && !promoted {
+                        if !em_was_down[ee] {
+                            em_was_down[ee] = true;
+                            if local_fallback {
+                                for &s in members {
+                                    bank.set_granted_cap(s.index(), f64::INFINITY);
+                                    sc.fstats.degradations += 1;
+                                    if recording {
+                                        sc.telemetry.push(TelemetryEvent::Degradation {
+                                            tick: t,
+                                            controller: ControllerKind::Sm,
+                                            index: s.index(),
+                                            policy: DegradationPolicy::LocalCapFallback,
+                                        });
+                                    }
+                                }
+                            }
+                        }
+                        sc.fstats.outage_epochs += 1;
+                        if recording {
+                            sc.telemetry.push(TelemetryEvent::ControllerOutage {
+                                tick: t,
+                                controller: ControllerKind::Em,
+                                index: e,
+                            });
+                        }
+                        break 'epoch;
+                    }
+                    em_was_down[ee] = false;
+                    rec.online = true;
+                    let eff_cap = em.effective_cap_watts();
+                    rec.eff_cap = eff_cap;
+                    if total > eff_cap && eff_cap < static_cap && recording {
+                        sc.telemetry.push(TelemetryEvent::Violation {
+                            tick: t,
+                            level: BudgetLevel::Enclosure,
+                            observed_watts: total,
+                            cap_watts: eff_cap,
+                            effective: true,
+                        });
+                    }
+                    sc.caps.clear();
+                    sc.caps.extend(members.iter().map(|s| cap_loc[s.index()]));
+                    em.reallocate_into(&sc.power, &sc.caps, &mut sc.alloc);
+                    rec.alloc_sum = reduce::tree_sum(&sc.alloc);
+                    if flows_down {
+                        // Bus deliveries draw from the bus's own RNG stream
+                        // and must land in ascending enclosure order —
+                        // deferred to the reduction.
+                        let start = sc.grants.len();
+                        sc.grants.extend_from_slice(&sc.alloc);
+                        rec.grants = start..sc.grants.len();
+                    } else if total > em.effective_cap_watts() {
+                        // Uncoordinated enclosure capper: on violation,
+                        // directly clamp member P-states to fit their
+                        // allocation — racing with the EC and SM.
+                        for (&s, &alloc) in members.iter().zip(&sc.alloc) {
+                            if !view.is_on(s) {
+                                continue;
+                            }
+                            let model = &models[s.index()];
+                            let forced = model
+                                .pstate_for_power_budget(alloc)
+                                .unwrap_or_else(|| model.deepest());
+                            let before = act.pstate(s);
+                            if draw.pstate_write_blocked(s.index(), t) {
+                                sc.fstats.actuator_blocked += 1;
                                 if recording {
-                                    rec.telemetry.push(TelemetryEvent::Degradation {
+                                    sc.telemetry.push(TelemetryEvent::ActuatorFault {
                                         tick: t,
-                                        controller: ControllerKind::Sm,
-                                        index: s.index(),
-                                        policy: DegradationPolicy::LocalCapFallback,
+                                        server: s.index(),
+                                        source: ControllerKind::Em,
+                                    });
+                                }
+                            } else {
+                                act.set_pstate(s, forced);
+                                if recording && forced != before {
+                                    sc.telemetry.push(TelemetryEvent::PStateChange {
+                                        tick: t,
+                                        server: s.index(),
+                                        from: before.index(),
+                                        to: forced.index(),
+                                        source: ControllerKind::Em,
                                     });
                                 }
                             }
                         }
                     }
-                    sh.fstats.outage_epochs += 1;
-                    if recording {
-                        rec.telemetry.push(TelemetryEvent::ControllerOutage {
-                            tick: t,
-                            controller: ControllerKind::Em,
-                            index: e,
-                        });
-                    }
-                    sh.records.push(rec);
-                    continue;
                 }
-                sh.em_was_down[ee] = false;
-                rec.online = true;
-                let eff_cap = sh.ems[ee].effective_cap_watts();
-                rec.eff_cap = eff_cap;
-                if total > eff_cap && eff_cap < static_cap && recording {
-                    rec.telemetry.push(TelemetryEvent::Violation {
-                        tick: t,
-                        level: BudgetLevel::Enclosure,
-                        observed_watts: total,
-                        cap_watts: eff_cap,
-                        effective: true,
-                    });
-                }
-                for &s in &enc_members[m0..m1] {
-                    sh.caps.push(cap_loc[s.index()]);
-                }
-                sh.ems[ee].reallocate_into(&sh.power, &sh.caps, &mut sh.alloc);
-                let allocations = &sh.alloc;
-                rec.alloc_sum = reduce::tree_sum(allocations);
-                if flows_down {
-                    // Bus deliveries draw from the bus's own RNG stream and
-                    // must land in ascending enclosure order — deferred to
-                    // the reduction.
-                    let start = sh.grants.len();
-                    sh.grants.extend_from_slice(allocations);
-                    rec.grants = Some(start..sh.grants.len());
-                } else if total > sh.ems[ee].effective_cap_watts() {
-                    // Uncoordinated enclosure capper: on violation, directly
-                    // clamp member P-states to fit their allocation — racing
-                    // with the EC and SM.
-                    for (k, &alloc) in allocations.iter().enumerate() {
-                        let s = enc_members[m0 + k];
-                        if !view.is_on(s) {
-                            continue;
-                        }
-                        let model = &models[s.index()];
-                        let forced = model
-                            .pstate_for_power_budget(alloc)
-                            .unwrap_or_else(|| model.deepest());
-                        let before = sh.act.pstate(s);
-                        if sh.draw.pstate_write_blocked(s.index(), t) {
-                            sh.fstats.actuator_blocked += 1;
-                            if recording {
-                                rec.telemetry.push(TelemetryEvent::ActuatorFault {
-                                    tick: t,
-                                    server: s.index(),
-                                    source: ControllerKind::Em,
-                                });
-                            }
-                        } else {
-                            sh.act.set_pstate(s, forced);
-                            if recording && forced != before {
-                                rec.telemetry.push(TelemetryEvent::PStateChange {
-                                    tick: t,
-                                    server: s.index(),
-                                    from: before.index(),
-                                    to: forced.index(),
-                                    source: ControllerKind::Em,
-                                });
-                            }
-                        }
-                    }
-                }
-                sh.records.push(rec);
+                rec.events = sc.telemetry.len() - events;
+                sc.records.push(rec);
             }
         });
-        // Drain every cell to owned data first (the grant replay below
-        // needs `&mut self`, which the live cells' borrows would forbid).
-        let mut outputs = Vec::with_capacity(cells.len());
-        let mut effects = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let sh = cell.into_inner().expect("worker panics already propagated");
-            self.fstats.merge(&sh.fstats);
-            self.violations.enclosure.merge(sh.win);
-            self.win_em.merge(sh.win);
-            outputs.push((sh.records, sh.grants));
-            effects.push(sh.act.into_effects());
-        }
-        self.sim.absorb_shard_effects(effects);
-        // Ascending shards own ascending enclosure ranges, so this replay
-        // is ascending-enclosure order — the sequential epoch's exact
-        // telemetry, bus-send, and bus-poll sequence.
-        for (records, grants) in outputs {
-            for rec in records {
-                if let Some(r) = &mut self.recorder {
-                    for ev in rec.telemetry {
-                        r.record(ev);
-                    }
+        let win = self.reduce_shards(|run, sc| {
+            let mut events = sc.telemetry.drain(..);
+            for rec in sc.records.drain(..) {
+                if let Some(r) = &mut run.recorder {
+                    events.by_ref().take(rec.events).for_each(|ev| r.record(ev));
                 }
-                if rec.online && self.invariants_on {
-                    self.check_conservation(rec.alloc_sum, rec.eff_cap, rec.enc);
+                if rec.online && run.invariants_on {
+                    run.check_conservation(rec.alloc_sum, rec.eff_cap, rec.enc);
                 }
-                if let Some(range) = rec.grants {
-                    let m0 = self.enc_offsets[rec.enc];
-                    for (k, &watts) in grants[range].iter().enumerate() {
-                        let s = self.enc_members[m0 + k];
-                        let slot = self.server_link[s.index()]
-                            .expect("every enclosure member has a grant link");
-                        self.deliver_grant(slot, watts);
-                    }
+                let members = run.enc_offsets[rec.enc]..run.enc_offsets[rec.enc + 1];
+                for (m, &watts) in members.zip(&sc.grants[rec.grants]) {
+                    let s = run.enc_members[m];
+                    let slot = run.server_link[s.index()]
+                        .expect("every enclosure member has a grant link");
+                    run.deliver_grant(slot, watts);
                 }
                 if rec.online {
-                    self.send_em_sync(rec.enc);
+                    run.send_em_sync(rec.enc);
                 }
             }
-        }
-    }
-
-    fn ec_epoch_seq(&mut self, window: u64) {
-        let t = self.ticks_done;
-        let recording = self.recording();
-        for i in 0..self.models.len() {
-            let s = ServerId(i);
-            if !self.sim.is_on(s) {
-                continue;
-            }
-            let cum = self.sim.cumulative_utilization(s);
-            let raw = (cum - self.snap_util_ec[i]) / window.max(1) as f64;
-            self.snap_util_ec[i] = cum;
-            let util = self.ingest(SensorChannel::ServerUtilization, ControllerKind::Ec, i, raw);
-            let desired = self.bank.ec_step(i, util);
-            let applied = if self.mode.merges_min_pstate() {
-                // Naïve "min frequency wins" merge with the SM's standing
-                // demand.
-                match self.sm_hold[i] {
-                    Some(hold) => PState(desired.index().max(hold.index())),
-                    None => desired,
-                }
-            } else {
-                desired
-            };
-            let before = if recording {
-                Some(self.sim.pstate(s))
-            } else {
-                None
-            };
-            let wrote = self.write_pstate(s, applied, ControllerKind::Ec);
-            if let Some(before) = before {
-                if wrote && before != applied {
-                    self.emit(|| TelemetryEvent::PStateChange {
-                        tick: t,
-                        server: i,
-                        from: before.index(),
-                        to: applied.index(),
-                        source: ControllerKind::Ec,
-                    });
-                }
-            }
-        }
-    }
-
-    fn sm_epoch_seq(&mut self, window: u64) {
-        let t = self.ticks_done;
-        let recording = self.recording();
-        for i in 0..self.models.len() {
-            let s = ServerId(i);
-            if !self.sim.is_on(s) {
-                // Keep snapshots current so a later power-on starts a
-                // fresh window.
-                self.snap_power_sm[i] = self.sim.cumulative_power(s);
-                continue;
-            }
-            let raw = Self::window_avg_power(&self.sim, &mut self.snap_power_sm, i, window);
-            // The monitor reads the same (possibly faulty) sensor the SM
-            // does: faults distort what is *observed*, not what is true.
-            let avg = self.ingest(SensorChannel::ServerPower, ControllerKind::Sm, i, raw);
-            // Violation measurement against the *static* budget happens at
-            // the SM cadence regardless of whether the SM is deployed.
-            let violated_static = avg > self.cap_loc[i];
-            self.violations.server.record(violated_static);
-            self.win_sm.record(violated_static);
-            if violated_static {
-                let cap = self.cap_loc[i];
-                self.emit(|| TelemetryEvent::Violation {
-                    tick: t,
-                    level: BudgetLevel::Server,
-                    observed_watts: avg,
-                    cap_watts: cap,
-                    effective: false,
-                });
-            }
-            if !self.mask.sm {
-                continue;
-            }
-            // An offline SM takes no control action; the EC keeps running
-            // against its last `r_ref` and the static-budget monitor above
-            // keeps reporting (the graceful-degradation contract).
-            if self.injector.offline(ControllerLayer::Sm, i, t) {
-                self.fstats.outage_epochs += 1;
-                self.emit(|| TelemetryEvent::ControllerOutage {
-                    tick: t,
-                    controller: ControllerKind::Sm,
-                    index: i,
-                });
-                continue;
-            }
-            // A breach of the dynamically granted budget (tighter than the
-            // static cap) is reported separately as an effective violation.
-            let eff_cap = self.bank.effective_cap_watts(i);
-            if avg > eff_cap && eff_cap < self.cap_loc[i] {
-                self.emit(|| TelemetryEvent::Violation {
-                    tick: t,
-                    level: BudgetLevel::Server,
-                    observed_watts: avg,
-                    cap_watts: eff_cap,
-                    effective: true,
-                });
-            }
-            if self.mode.sm_actuates_r_ref() {
-                let prev_r_ref = if recording { self.bank.r_ref(i) } else { 0.0 };
-                self.bank.sm_step_coordinated(i, avg);
-                if recording {
-                    let r_ref = self.bank.r_ref(i);
-                    if r_ref != prev_r_ref {
-                        self.emit(|| TelemetryEvent::RRefUpdate {
-                            tick: t,
-                            server: i,
-                            r_ref,
-                        });
-                    }
-                }
-            } else {
-                let current = self.sim.pstate(s);
-                let (_, forced) = self.bank.sm_step_uncoordinated(i, avg, current);
-                if self.mode.merges_min_pstate() {
-                    self.sm_hold[i] = forced;
-                    if let Some(p) = forced {
-                        let applied = PState(p.index().max(current.index()));
-                        if self.write_pstate(s, applied, ControllerKind::Sm) && applied != current {
-                            self.emit(|| TelemetryEvent::PStateChange {
-                                tick: t,
-                                server: i,
-                                from: current.index(),
-                                to: applied.index(),
-                                source: ControllerKind::Sm,
-                            });
-                        }
-                    }
-                } else if let Some(p) = forced {
-                    // The race: this write lands on the same actuator the
-                    // EC writes every tick.
-                    if self.write_pstate(s, p, ControllerKind::Sm) && p != current {
-                        self.emit(|| TelemetryEvent::PStateChange {
-                            tick: t,
-                            server: i,
-                            from: current.index(),
-                            to: p.index(),
-                            source: ControllerKind::Sm,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    fn em_epoch_seq(&mut self, window: u64) {
-        let t = self.ticks_done;
-        for e in 0..self.ems.len() {
-            // Enclosure `e`'s members are the CSR slice
-            // `enc_members[enc_offsets[e]..enc_offsets[e + 1]]`.
-            let (m0, m1) = (self.enc_offsets[e], self.enc_offsets[e + 1]);
-            self.scratch_power.clear();
-            for k in m0..m1 {
-                let s = self.enc_members[k];
-                let avg =
-                    Self::window_avg_power(&self.sim, &mut self.snap_power_em, s.index(), window);
-                self.scratch_power.push(avg);
-            }
-            // Level total includes the enclosure's shared base power.
-            let enc_cum = self.sim.cumulative_enclosure_power(EnclosureId(e));
-            let raw_total = (enc_cum - self.snap_encpow_em[e]) / window.max(1) as f64;
-            self.snap_encpow_em[e] = enc_cum;
-            let total = self.ingest(
-                SensorChannel::EnclosurePower,
-                ControllerKind::Em,
-                e,
-                raw_total,
-            );
-            let violated_static = total > self.ems[e].static_cap_watts();
-            self.violations.enclosure.record(violated_static);
-            self.win_em.record(violated_static);
-            if violated_static {
-                let cap = self.ems[e].static_cap_watts();
-                self.emit(|| TelemetryEvent::Violation {
-                    tick: t,
-                    level: BudgetLevel::Enclosure,
-                    observed_watts: total,
-                    cap_watts: cap,
-                    effective: false,
-                });
-            }
-            if !self.mask.em {
-                continue;
-            }
-            if self.injector.offline(ControllerLayer::Em, e, t) && !self.em_promoted(e) {
-                if !self.em_was_down[e] {
-                    self.em_was_down[e] = true;
-                    // The members just lost their parent manager: fall back
-                    // to their local static caps (stale dynamic grants from
-                    // a dead EM could strangle them indefinitely). With
-                    // leases on, the lease state machine covers this
-                    // uniformly — the orphaned grants simply expire; with a
-                    // warm standby the detector promotes it instead, so the
-                    // static-cap fallback stays out of the way.
-                    if self.mode.budgets_flow_down()
-                        && self.lease_ticks == 0
-                        && !self.redundancy.em_standby
-                    {
-                        for k in m0..m1 {
-                            let s = self.enc_members[k];
-                            self.bank.set_granted_cap(s.index(), f64::INFINITY);
-                            self.fstats.degradations += 1;
-                            let server = s.index();
-                            self.emit(|| TelemetryEvent::Degradation {
-                                tick: t,
-                                controller: ControllerKind::Sm,
-                                index: server,
-                                policy: DegradationPolicy::LocalCapFallback,
-                            });
-                        }
-                    }
-                }
-                self.fstats.outage_epochs += 1;
-                self.emit(|| TelemetryEvent::ControllerOutage {
-                    tick: t,
-                    controller: ControllerKind::Em,
-                    index: e,
-                });
-                continue;
-            }
-            self.em_was_down[e] = false;
-            let eff_cap = self.ems[e].effective_cap_watts();
-            if total > eff_cap && eff_cap < self.ems[e].static_cap_watts() {
-                self.emit(|| TelemetryEvent::Violation {
-                    tick: t,
-                    level: BudgetLevel::Enclosure,
-                    observed_watts: total,
-                    cap_watts: eff_cap,
-                    effective: true,
-                });
-            }
-            self.scratch_caps.clear();
-            for k in m0..m1 {
-                let s = self.enc_members[k];
-                self.scratch_caps.push(self.cap_loc[s.index()]);
-            }
-            // Taken, not borrowed: each grant below needs `&mut self`.
-            let mut allocations = std::mem::take(&mut self.scratch_alloc);
-            self.ems[e].reallocate_into(&self.scratch_power, &self.scratch_caps, &mut allocations);
-            if self.invariants_on {
-                self.check_conservation(reduce::tree_sum(&allocations), eff_cap, e);
-            }
-            if self.mode.budgets_flow_down() {
-                for (k, &watts) in allocations.iter().enumerate() {
-                    let s = self.enc_members[m0 + k];
-                    let slot = self.server_link[s.index()]
-                        .expect("every enclosure member has a grant link");
-                    self.deliver_grant(slot, watts);
-                }
-            } else if total > self.ems[e].effective_cap_watts() {
-                // Uncoordinated enclosure capper: on violation, directly
-                // clamp member P-states to fit their allocation — racing
-                // with the EC and SM.
-                for (k, &alloc) in allocations.iter().enumerate() {
-                    let s = self.enc_members[m0 + k];
-                    if !self.sim.is_on(s) {
-                        continue;
-                    }
-                    let model = &self.models[s.index()];
-                    let forced = model
-                        .pstate_for_power_budget(alloc)
-                        .unwrap_or_else(|| model.deepest());
-                    let before = self.sim.pstate(s);
-                    if self.write_pstate(s, forced, ControllerKind::Em) && forced != before {
-                        self.emit(|| TelemetryEvent::PStateChange {
-                            tick: t,
-                            server: s.index(),
-                            from: before.index(),
-                            to: forced.index(),
-                            source: ControllerKind::Em,
-                        });
-                    }
-                }
-            }
-            self.scratch_alloc = allocations;
-            self.send_em_sync(e);
-        }
+            sc.grants.clear();
+        });
+        self.violations.enclosure.merge(win);
+        self.win_em.merge(win);
     }
 
     fn gm_epoch(&mut self, window: u64) {
         // The GM's window computation (averages over every server and
         // enclosure) plus its sensor ingest (per-child counter streams)
-        // is embarrassingly parallel; only the arbitration that follows
-        // is inherently sequential. Fan the windows out when a pool is
-        // available.
-        if self.pool.is_some() && self.enc_aligned {
-            self.gm_window_fanout(window);
-        } else {
-            self.gm_window_seq(window);
-        }
+        // runs per shard; only the arbitration that follows is inherently
+        // sequential.
+        self.gm_window(window);
         self.gm_arbitrate();
     }
 
-    /// Sequential GM window pass: fills `scratch_child_raw` with each
-    /// child's *hardened* window-average power (enclosures first, then
-    /// standalone servers) — sensing each child's counter stream and
-    /// running the full ingestion pipeline — and advances the GM
-    /// snapshots.
-    fn gm_window_seq(&mut self, window: u64) {
-        self.scratch_child_raw.clear();
-        for e in 0..self.ems.len() {
-            // Keep the per-server GM snapshots warm for standalone reads.
-            for k in self.enc_offsets[e]..self.enc_offsets[e + 1] {
-                let s = self.enc_members[k];
-                let _ =
-                    Self::window_avg_power(&self.sim, &mut self.snap_power_gm, s.index(), window);
-            }
-            let enc_cum = self.sim.cumulative_enclosure_power(EnclosureId(e));
-            let raw = (enc_cum - self.snap_encpow_gm[e]) / window.max(1) as f64;
-            self.snap_encpow_gm[e] = enc_cum;
-            let v = self.ingest(SensorChannel::GroupChildPower, ControllerKind::Gm, e, raw);
-            self.scratch_child_raw.push(v);
-        }
-        for k in 0..self.standalone_ids.len() {
-            let s = self.standalone_ids[k];
-            let raw = Self::window_avg_power(&self.sim, &mut self.snap_power_gm, s.index(), window);
-            let child = self.ems.len() + k;
-            let v = self.ingest(
-                SensorChannel::GroupChildPower,
-                ControllerKind::Gm,
-                child,
-                raw,
-            );
-            self.scratch_child_raw.push(v);
-        }
-    }
-
-    /// Parallel GM window pass — bit-identical to [`Runner::gm_window_seq`]
-    /// because it performs the same per-child arithmetic and every sensor
-    /// draw comes from that child's private counter stream. Requires
-    /// `enc_aligned` so each worker's enclosure and standalone slices
-    /// fall inside its server range. The sequential ingest order is *all*
-    /// enclosures then *all* standalones, so each shard buffers its
-    /// telemetry in two streams that the reduction replays in that order.
-    fn gm_window_fanout(&mut self, window: u64) {
+    /// The GM window pass: fills `scratch_child_raw` with each child's
+    /// *hardened* window-average power (enclosures first, then standalone
+    /// servers) — sensing each child's counter stream and running the
+    /// full ingestion pipeline — and advances the GM snapshots. The
+    /// ingest order is *all* enclosures then *all* standalones, so each
+    /// shard buffers its telemetry in two streams that the reduction
+    /// replays in that order.
+    fn gm_window(&mut self, window: u64) {
+        let window = window.max(1) as f64;
         let t = self.ticks_done;
         let recording = self.recording();
         let num_enclosures = self.ems.len();
-        let flat = self.enc_members.len();
-        let num_sa = self.standalone_ids.len();
         self.scratch_child_raw.clear();
-        self.scratch_child_raw.resize(num_enclosures + num_sa, 0.0);
-
-        struct GmShard<'a> {
-            /// First global server id of this shard's server range.
-            lo: usize,
-            /// First global enclosure id of this shard's enclosure range.
-            enc_lo: usize,
-            /// First standalone-child ordinal of this shard.
-            sa_lo: usize,
-            sense_enc: SensorDrawShard<'a>,
-            sense_sa: SensorDrawShard<'a>,
-            snap_pow: &'a mut [f64],
-            snap_enc: &'a mut [f64],
-            enc_raw: &'a mut [f64],
-            sa_raw: &'a mut [f64],
-            last_enc: &'a mut [f64],
-            last_sa: &'a mut [f64],
-            fstats: FaultStats,
-            tel_enc: Vec<TelemetryEvent>,
-            tel_sa: Vec<TelemetryEvent>,
-        }
-
-        // Standalone servers are a dense tail (`enc_aligned` guarantees
-        // it), so each server shard maps to a dense standalone range.
-        let sa_ranges: Vec<Range<usize>> = self
-            .shards
-            .iter()
-            .map(|r| (r.start.max(flat) - flat)..(r.end.max(flat) - flat))
-            .collect();
+        self.scratch_child_raw
+            .resize(num_enclosures + self.standalone_ids.len(), 0.0);
+        let (ranges, shard_encs, shard_sa) = (&self.shards, &self.shard_encs, &self.shard_sa);
         let view = self.sim.epoch_view();
-        let senses = self.injector.gm_child_shards(&self.shard_encs, &sa_ranges);
-        let (enc_raw_all, sa_raw_all) = self.scratch_child_raw.split_at_mut(num_enclosures);
-        let (last_enc_all, last_sa_all) = self.last_child_gm.split_at_mut(num_enclosures);
-        let snap_pows = split_ranges(&mut self.snap_power_gm, &self.shards);
-        let snap_encs = split_ranges(&mut self.snap_encpow_gm, &self.shard_encs);
-        let enc_raws = split_ranges(enc_raw_all, &self.shard_encs);
-        let sa_raws = split_ranges(sa_raw_all, &sa_ranges);
-        let last_encs = split_ranges(last_enc_all, &self.shard_encs);
-        let last_sas = split_ranges(last_sa_all, &sa_ranges);
-        let cells: Vec<Mutex<GmShard<'_>>> = self
-            .shards
-            .iter()
-            .zip(self.shard_encs.iter())
-            .zip(&sa_ranges)
-            .zip(senses)
-            .zip(snap_pows)
-            .zip(snap_encs)
-            .zip(enc_raws)
-            .zip(sa_raws)
-            .zip(last_encs)
-            .zip(last_sas)
-            .map(
-                |(
-                    (
-                        (
-                            (
-                                (
-                                    (
-                                        (((range, enc_range), sa_range), (sense_enc, sense_sa)),
-                                        snap_pow,
-                                    ),
-                                    snap_enc,
-                                ),
-                                enc_raw,
-                            ),
-                            sa_raw,
-                        ),
-                        last_enc,
-                    ),
-                    last_sa,
-                )| {
-                    Mutex::new(GmShard {
-                        lo: range.start,
-                        enc_lo: enc_range.start,
-                        sa_lo: sa_range.start,
-                        sense_enc,
-                        sense_sa,
-                        snap_pow,
-                        snap_enc,
-                        enc_raw,
-                        sa_raw,
-                        last_enc,
-                        last_sa,
-                        fstats: FaultStats::default(),
-                        tel_enc: Vec::new(),
-                        tel_sa: Vec::new(),
-                    })
-                },
-            )
-            .collect();
+        let (mut sense_encs, mut sense_sas) = self.injector.gm_child_shards();
+        let (enc_raw, sa_raw) = self.scratch_child_raw.split_at_mut(num_enclosures);
+        let (last_enc, last_sa) = self.last_child_gm.split_at_mut(num_enclosures);
+        let (mut enc_raws, mut sa_raws) = (Carve::new(enc_raw), Carve::new(sa_raw));
+        let (mut last_encs, mut last_sas) = (Carve::new(last_enc), Carve::new(last_sa));
+        let mut snap_pows = Carve::new(&mut self.snap_power_gm);
+        let mut snap_encs = Carve::new(&mut self.snap_encpow_gm);
+        let shards = self.scratch.iter_mut().enumerate().map(move |(k, sc)| {
+            let (r, encs, sas) = (
+                ranges[k].clone(),
+                shard_encs[k].clone(),
+                shard_sa[k].clone(),
+            );
+            GmShard {
+                lo: r.start,
+                enc_lo: encs.start,
+                sa_lo: sas.start,
+                sense_enc: sense_encs.take(encs.clone()),
+                sense_sa: sense_sas.take(sas.clone()),
+                snap_pow: snap_pows.take(r),
+                snap_enc: snap_encs.take(encs.clone()),
+                enc_raw: enc_raws.take(encs.clone()),
+                sa_raw: sa_raws.take(sas.clone()),
+                last_enc: last_encs.take(encs),
+                last_sa: last_sas.take(sas),
+                sc,
+            }
+        });
         let enc_offsets: &[usize] = &self.enc_offsets;
         let enc_members: &[ServerId] = &self.enc_members;
         let standalone: &[ServerId] = &self.standalone_ids;
-        let pool = self.pool.as_ref().expect("parallel epoch requires a pool");
-        pool.execute(cells.len(), &|kk| {
-            let mut guard = cells[kk].lock().expect("epoch shard lock");
-            let sh = &mut *guard;
+        par::for_each_shard(self.pool.as_ref(), shards, move |mut sh| {
             for ee in 0..sh.snap_enc.len() {
                 let e = sh.enc_lo + ee;
                 for &s in &enc_members[enc_offsets[e]..enc_offsets[e + 1]] {
-                    // The sequential pass only warms the per-server
-                    // snapshot here (the member average is discarded).
+                    // Keep the per-server GM snapshots warm for standalone
+                    // reads (the member average itself is not used).
                     sh.snap_pow[s.index() - sh.lo] = view.cumulative_power(s);
                 }
                 let enc_cum = view.cumulative_enclosure_power(EnclosureId(e));
-                let raw = (enc_cum - sh.snap_enc[ee]) / window.max(1) as f64;
+                let raw = (enc_cum - sh.snap_enc[ee]) / window;
                 sh.snap_enc[ee] = enc_cum;
-                let reading = sh.sense_enc.sense(e, t, raw);
                 sh.enc_raw[ee] = ingest_buffered(
-                    reading,
+                    sh.sense_enc.sense(e, t, raw),
                     t,
                     ControllerKind::Gm,
                     e,
-                    &mut sh.fstats,
-                    &mut sh.tel_enc,
+                    &mut sh.sc.fstats,
+                    &mut sh.sc.telemetry,
                     &mut sh.last_enc[ee],
                     recording,
                 );
@@ -2916,47 +2224,26 @@ impl Runner {
                 let s = standalone[ordinal];
                 let off = s.index() - sh.lo;
                 let cum = view.cumulative_power(s);
-                let raw = (cum - sh.snap_pow[off]) / window.max(1) as f64;
+                let raw = (cum - sh.snap_pow[off]) / window;
                 sh.snap_pow[off] = cum;
-                let reading = sh.sense_sa.sense(ordinal, t, raw);
                 sh.sa_raw[j] = ingest_buffered(
-                    reading,
+                    sh.sense_sa.sense(ordinal, t, raw),
                     t,
                     ControllerKind::Gm,
                     num_enclosures + ordinal,
-                    &mut sh.fstats,
-                    &mut sh.tel_sa,
+                    &mut sh.sc.fstats,
+                    &mut sh.sc.telemetry_sa,
                     &mut sh.last_sa[j],
                     recording,
                 );
             }
         });
-        // Ascending shards own ascending child ranges; replaying every
-        // shard's enclosure telemetry before any shard's standalone
-        // telemetry restores the sequential all-enclosures-then-all-
-        // standalones emission order.
-        let mut sa_telemetry: Vec<Vec<TelemetryEvent>> = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let sh = cell.into_inner().expect("worker panics already propagated");
-            self.fstats.merge(&sh.fstats);
-            if let Some(r) = &mut self.recorder {
-                for ev in sh.tel_enc {
-                    r.record(ev);
-                }
-            }
-            sa_telemetry.push(sh.tel_sa);
-        }
-        if let Some(r) = &mut self.recorder {
-            for tel in sa_telemetry {
-                for ev in tel {
-                    r.record(ev);
-                }
-            }
-        }
+        self.reduce_shards(|run, sc| run.replay(&mut sc.telemetry));
+        self.reduce_shards(|run, sc| run.replay(&mut sc.telemetry_sa));
     }
 
-    /// The sequential remainder of a GM epoch: the window pass (seq or
-    /// fan-out) already sensed and hardened every child's average into
+    /// The sequential remainder of a GM epoch: the window pass already
+    /// sensed and hardened every child's average into
     /// `scratch_child_raw`, so arbitration is RNG-free apart from the GM
     /// outage check — sum, check the group cap, reallocate, deliver.
     fn gm_arbitrate(&mut self) {
@@ -3234,119 +2521,150 @@ impl Runner {
 
     /// Per-VM demand estimates for a VMC epoch, including the window
     /// bookkeeping (snapshot advances, peak resets). Every slot runs
-    /// [`vmc_demand_slot`] independently, so the parallel fan-out over
-    /// even VM ranges is bit-identical to the sequential loop.
+    /// [`vmc_demand_slot`] independently, so any split of the VM range
+    /// gives the same bits.
     fn vmc_demands(&mut self) {
-        let num_vms = self.cum_real.len();
         let real_mode = self.mode.vmc_uses_real_util();
         let window = self.intervals.vmc.max(1) as f64;
         self.scratch_demands.clear();
-        self.scratch_demands.resize(num_vms, 0.0);
-        let pool = match &self.pool {
-            Some(pool) if num_vms >= PAR_VM_THRESHOLD => pool,
-            _ => {
-                for j in 0..num_vms {
-                    self.scratch_demands[j] = vmc_demand_slot(
-                        real_mode,
-                        window,
-                        self.cum_real[j],
-                        self.cum_apparent[j],
-                        &mut self.snap_real[j],
-                        &mut self.snap_apparent[j],
-                        &mut self.win_max_real[j],
-                        &mut self.win_max_apparent[j],
-                    );
-                }
-                return;
-            }
-        };
-        struct DemandShard<'a> {
-            lo: usize,
-            snap_real: &'a mut [f64],
-            snap_apparent: &'a mut [f64],
-            win_max_real: &'a mut [f64],
-            win_max_apparent: &'a mut [f64],
-            demands: &'a mut [f64],
-        }
-        let ranges = vm_ranges(num_vms, self.shards.len());
-        let snap_reals = split_ranges(&mut self.snap_real, &ranges);
-        let snap_apparents = split_ranges(&mut self.snap_apparent, &ranges);
-        let win_reals = split_ranges(&mut self.win_max_real, &ranges);
-        let win_apparents = split_ranges(&mut self.win_max_apparent, &ranges);
-        let demandss = split_ranges(&mut self.scratch_demands, &ranges);
+        self.scratch_demands.resize(self.cum_real.len(), 0.0);
+        let mut snap_real = Carve::new(&mut self.snap_real);
+        let mut snap_apparent = Carve::new(&mut self.snap_apparent);
+        let mut win_real = Carve::new(&mut self.win_max_real);
+        let mut win_apparent = Carve::new(&mut self.win_max_apparent);
+        let mut demands = Carve::new(&mut self.scratch_demands);
+        let shards = self.vm_shards.iter().map(move |r| {
+            (
+                r.start,
+                snap_real.take(r.clone()),
+                snap_apparent.take(r.clone()),
+                win_real.take(r.clone()),
+                win_apparent.take(r.clone()),
+                demands.take(r.clone()),
+            )
+        });
         let cum_real: &[f64] = &self.cum_real;
         let cum_apparent: &[f64] = &self.cum_apparent;
-        let cells: Vec<Mutex<DemandShard<'_>>> = ranges
-            .iter()
-            .zip(snap_reals)
-            .zip(snap_apparents)
-            .zip(win_reals)
-            .zip(win_apparents)
-            .zip(demandss)
-            .map(
-                |(
-                    ((((range, snap_real), snap_apparent), win_max_real), win_max_apparent),
-                    demands,
-                )| {
-                    Mutex::new(DemandShard {
-                        lo: range.start,
-                        snap_real,
-                        snap_apparent,
-                        win_max_real,
-                        win_max_apparent,
-                        demands,
-                    })
-                },
-            )
-            .collect();
-        pool.execute(cells.len(), &|k| {
-            let mut guard = cells[k].lock().expect("vm shard lock");
-            let sh = &mut *guard;
-            for off in 0..sh.demands.len() {
-                let j = sh.lo + off;
-                sh.demands[off] = vmc_demand_slot(
+        par::for_each_shard(self.pool.as_ref(), shards, move |sh| {
+            let (lo, snap_real, snap_apparent, win_real, win_apparent, demands) = sh;
+            for (off, demand) in demands.iter_mut().enumerate() {
+                let j = lo + off;
+                *demand = vmc_demand_slot(
                     real_mode,
                     window,
                     cum_real[j],
                     cum_apparent[j],
-                    &mut sh.snap_real[off],
-                    &mut sh.snap_apparent[off],
-                    &mut sh.win_max_real[off],
-                    &mut sh.win_max_apparent[off],
+                    &mut snap_real[off],
+                    &mut snap_apparent[off],
+                    &mut win_real[off],
+                    &mut win_apparent[off],
                 );
             }
         });
     }
 }
 
-/// One worker's slice of the runner's per-server state during a parallel
-/// EC or SM epoch, plus its locally-buffered side effects. Buffers are
-/// merged (counters) or replayed (event streams) in ascending shard
-/// order after the barrier, which restores the sequential emission order
-/// exactly.
+/// One shard's reusable buffers: the side effects its epoch body
+/// buffers for the in-order reduction, and the EM's working arrays.
+/// Owned by the runner and emptied by every reduction, so a sharded
+/// epoch allocates nothing once the buffers have grown.
+#[derive(Debug, Default)]
+struct ShardScratch {
+    fstats: FaultStats,
+    /// Static-cap violation verdicts (SM and EM epochs; order-free).
+    win: ViolationCounter,
+    telemetry: Vec<TelemetryEvent>,
+    /// GM window pass: standalone-child telemetry, replayed after every
+    /// shard's enclosure telemetry.
+    telemetry_sa: Vec<TelemetryEvent>,
+    // EM epoch: one enclosure's member powers, caps and reallocated
+    // budgets, then every owned enclosure's grants and record.
+    power: Vec<f64>,
+    caps: Vec<f64>,
+    alloc: Vec<f64>,
+    grants: Vec<f64>,
+    records: Vec<EmRecord>,
+}
+
+/// One enclosure's place in its shard's EM buffers, replayed in the
+/// reduction: its telemetry, then (coordinated modes) its member grant
+/// deliveries through the bus, then — for an EM that completed an online
+/// epoch — the conservation check and the state sync to its standby.
+#[derive(Debug)]
+struct EmRecord {
+    enc: usize,
+    /// How many of the shard's next buffered telemetry events are this
+    /// enclosure's.
+    events: usize,
+    /// This enclosure's member grants in the shard's `grants`.
+    grants: Range<usize>,
+    /// Whether the EM ran a full (online) epoch this tick.
+    online: bool,
+    /// Sum of the reallocated member budgets (conservation).
+    alloc_sum: f64,
+    /// The effective cap the reallocation ran against.
+    eff_cap: f64,
+}
+
+/// One shard's slice of the per-server state during an EC or SM epoch.
 struct EpochShard<'a> {
-    /// First global server id of this shard.
-    lo: usize,
+    /// This shard's servers.
+    range: Range<usize>,
     bank: BankShard<'a>,
     act: ActuatorShard<'a>,
-    /// This shard's slice of the per-server actuator-jam counter
-    /// streams (order-free draws, safe to evaluate in-shard).
+    /// Per-server actuator-jam counter streams (order-free draws).
     draw: ActuatorDrawShard<'a>,
-    /// This shard's slice of the epoch channel's per-server sensor
-    /// counter streams (order-free draws, safe to evaluate in-shard).
+    /// The epoch channel's per-server sensor counter streams.
     sense: SensorDrawShard<'a>,
-    /// This epoch's measurement-window snapshots (EC: utilization,
-    /// SM: power), shard slice.
+    /// This epoch's measurement-window snapshots (EC: utilization, SM:
+    /// power).
     snap: &'a mut [f64],
-    /// This epoch's hold-last-good store, shard slice.
+    /// This epoch's hold-last-good store.
     last_good: &'a mut [f64],
-    /// SM standing P-state demands, shard slice (written by the
-    /// min-merge SM, read by the EC).
+    /// SM standing P-state demands (written by the min-merge SM, read by
+    /// the EC).
     sm_hold: &'a mut [Option<PState>],
-    fstats: FaultStats,
-    telemetry: Vec<TelemetryEvent>,
-    /// Static-cap violation verdicts (SM epochs only; order-free).
-    win: ViolationCounter,
+    sc: &'a mut ShardScratch,
+}
+
+/// One shard's slice of the EM epoch's state: its servers' bank,
+/// actuator and jam streams, and the enclosures it owns.
+struct EmShard<'a> {
+    /// First global server id of this shard.
+    lo: usize,
+    /// First enclosure this shard owns.
+    enc_lo: usize,
+    bank: BankShard<'a>,
+    act: ActuatorShard<'a>,
+    draw: ActuatorDrawShard<'a>,
+    /// Enclosure-power sensor streams of the owned enclosures.
+    sense: SensorDrawShard<'a>,
+    snap_pow: &'a mut [f64],
+    snap_encpow: &'a mut [f64],
+    last_encpow: &'a mut [f64],
+    em_was_down: &'a mut [bool],
+    ems: &'a mut [GroupCapper],
+    sc: &'a mut ShardScratch,
+}
+
+/// One shard's slice of the GM window pass: its enclosure children and
+/// its standalone children.
+struct GmShard<'a> {
+    /// First global server id of this shard.
+    lo: usize,
+    /// First enclosure this shard owns.
+    enc_lo: usize,
+    /// First standalone-child ordinal of this shard.
+    sa_lo: usize,
+    sense_enc: SensorDrawShard<'a>,
+    sense_sa: SensorDrawShard<'a>,
+    snap_pow: &'a mut [f64],
+    snap_enc: &'a mut [f64],
+    enc_raw: &'a mut [f64],
+    sa_raw: &'a mut [f64],
+    last_enc: &'a mut [f64],
+    last_sa: &'a mut [f64],
+    sc: &'a mut ShardScratch,
 }
 
 /// Offline check against a static copy of the fault plan's outage
@@ -3373,8 +2691,8 @@ fn vm_ranges(num_vms: usize, k: usize) -> Vec<Range<usize>> {
 
 /// One VM's demand estimate plus window bookkeeping for a VMC epoch: the
 /// mean/peak blend over the closing window, both snapshots advanced,
-/// both window peaks reset. Pure per-slot arithmetic — the parallel and
-/// sequential VMC passes share it, so they are bit-identical.
+/// both window peaks reset. Pure per-slot arithmetic, so any split of the
+/// VM range gives the same bits.
 #[allow(clippy::too_many_arguments)]
 fn vmc_demand_slot(
     real_mode: bool,
@@ -3408,28 +2726,14 @@ fn vmc_demand_slot(
     est.clamp(0.0, 1.0)
 }
 
-/// Splits `data` into the per-shard slices of a dense ascending
-/// partition (the tail past the last range must be empty).
-fn split_ranges<'a, T>(mut data: &'a mut [T], ranges: &[Range<usize>]) -> Vec<&'a mut [T]> {
-    let mut out = Vec::with_capacity(ranges.len());
-    let mut cursor = 0usize;
-    for r in ranges {
-        debug_assert_eq!(r.start, cursor, "shards must be dense and ascending");
-        let (head, rest) = data.split_at_mut(r.len());
-        data = rest;
-        out.push(head);
-        cursor = r.end;
-    }
-    debug_assert!(data.is_empty(), "shards must cover the whole fleet");
-    out
-}
-
-/// Carves the simulator, the controller bank, and the runner's
-/// per-server arrays into one lock-free-in-practice cell per shard (each
-/// worker locks only its own, uncontended).
+/// Carves the simulator, the controller bank, the injector and one
+/// epoch's per-server arrays into [`EpochShard`]s, built lazily as the
+/// driver hands them out, each paired with its shard's scratch.
 #[allow(clippy::too_many_arguments)]
-fn carve_shards<'a>(
-    ranges: &[Range<usize>],
+fn server_shards<'a>(
+    ranges: &'a [Range<usize>],
+    scratch: &'a mut [ShardScratch],
+    effects: &'a mut [ShardEffects],
     sim: &'a mut Simulation,
     bank: &'a mut ControllerBank,
     injector: &'a mut FaultInjector,
@@ -3437,47 +2741,38 @@ fn carve_shards<'a>(
     snap: &'a mut [f64],
     last_good: &'a mut [f64],
     sm_hold: &'a mut [Option<PState>],
-) -> (SimEpochView<'a>, Vec<Mutex<EpochShard<'a>>>) {
-    let (view, acts) = sim.epoch_shards(ranges);
-    let banks = bank.shards(ranges);
-    let draws = injector.draw_shards(ranges, channel);
-    let snaps = split_ranges(snap, ranges);
-    let lasts = split_ranges(last_good, ranges);
-    let holds = split_ranges(sm_hold, ranges);
-    let cells = ranges
-        .iter()
-        .zip(banks)
-        .zip(acts)
-        .zip(draws)
-        .zip(snaps)
-        .zip(lasts)
-        .zip(holds)
-        .map(
-            |((((((range, bank), act), (draw, sense)), snap), last_good), sm_hold)| {
-                Mutex::new(EpochShard {
-                    lo: range.start,
-                    bank,
-                    act,
-                    draw,
-                    sense,
-                    snap,
-                    last_good,
-                    sm_hold,
-                    fstats: FaultStats::default(),
-                    telemetry: Vec::new(),
-                    win: ViolationCounter::new(),
-                })
-            },
-        )
-        .collect();
-    (view, cells)
+) -> (
+    SimEpochView<'a>,
+    impl ExactSizeIterator<Item = EpochShard<'a>> + Send + 'a,
+) {
+    let (view, mut acts) = sim.epoch_shards();
+    let mut banks = bank.shards();
+    let (mut draws, mut senses) = injector.draw_shards(channel);
+    let (mut snaps, mut lasts) = (Carve::new(snap), Carve::new(last_good));
+    let mut holds = Carve::new(sm_hold);
+    let shards = (scratch.iter_mut().zip(effects))
+        .enumerate()
+        .map(move |(k, (sc, eff))| {
+            let r = ranges[k].clone();
+            EpochShard {
+                bank: banks.take(r.clone()),
+                act: acts.take(r.clone(), eff),
+                draw: draws.take(r.clone()),
+                sense: senses.take(r.clone()),
+                snap: snaps.take(r.clone()),
+                last_good: lasts.take(r.clone()),
+                sm_hold: holds.take(r.clone()),
+                range: r,
+                sc,
+            }
+        });
+    (view, shards)
 }
 
-/// The shard-local replica of [`Runner::ingest`]: identical arithmetic
-/// and identical fault/degradation accounting, with the counters and
-/// telemetry buffered in the worker's [`EpochShard`] instead of applied
-/// globally. The sensor reading itself comes from the slot's private
-/// counter stream, drawn in-shard.
+/// The ingestion boundary for one per-server reading in an EC or SM
+/// shard: [`ingest_buffered`] against the shard's scratch and its
+/// hold-last-good slot `off`.
+#[inline]
 fn shard_ingest(
     reading: Reading,
     t: u64,
@@ -3492,20 +2787,48 @@ fn shard_ingest(
         t,
         ctrl,
         idx,
-        &mut sh.fstats,
-        &mut sh.telemetry,
+        &mut sh.sc.fstats,
+        &mut sh.sc.telemetry,
         &mut sh.last_good[off],
         recording,
     )
 }
 
-/// The buffered core of the shard-local ingest: identical arithmetic
-/// and identical fault/degradation accounting to [`Runner::ingest`],
-/// with counters and telemetry accumulated into the caller's buffers
-/// instead of applied globally. The sensor reading itself comes from the
-/// slot's private counter stream, drawn in-shard.
+/// The ingestion boundary every controller input passes through: a
+/// reading the fault injector has already routed (drawn in-shard from
+/// the slot's private counter stream) gets the always-on hardening —
+/// non-finite or negative values and dropped samples degrade to the last
+/// good reading. Fault counters and telemetry go to the shard's buffers,
+/// replayed in order by the epoch's reduction. A clean, valid reading
+/// takes the inline path; anything else goes to [`ingest_degraded`].
+#[inline]
 #[allow(clippy::too_many_arguments)]
 fn ingest_buffered(
+    reading: Reading,
+    t: u64,
+    ctrl: ControllerKind,
+    idx: usize,
+    fstats: &mut FaultStats,
+    telemetry: &mut Vec<TelemetryEvent>,
+    last_good: &mut f64,
+    recording: bool,
+) -> f64 {
+    match reading {
+        Reading::Clean(v) if v.is_finite() && v >= 0.0 => {
+            *last_good = v;
+            v
+        }
+        _ => ingest_degraded(
+            reading, t, ctrl, idx, fstats, telemetry, last_good, recording,
+        ),
+    }
+}
+
+/// [`ingest_buffered`] for a reading the fault model touched or that
+/// fails hardening: counts and reports the fault, then degrades.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn ingest_degraded(
     reading: Reading,
     t: u64,
     ctrl: ControllerKind,
@@ -3845,7 +3168,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_epochs_engage_and_match_sequential() {
+    fn pooled_shards_engage_and_match_one_shard() {
         let mut cfg = Scenario::multi_rack(
             SystemKind::BladeA,
             CoordinationMode::Coordinated,
@@ -3857,17 +3180,18 @@ mod tests {
         .horizon(200)
         .seed(9)
         .build();
-        let mut seq = Runner::new(&cfg);
-        let a = seq.run_to_horizon();
+        let mut one = Runner::new(&cfg);
+        assert!(one.pool.is_none() && one.shards.len() == 1 && one.shards[0] == (0..18));
+        let a = one.run_to_horizon();
         cfg.threads = 4;
-        let mut par = Runner::new(&cfg);
+        let mut pooled = Runner::new(&cfg);
         assert!(
-            par.pool.is_some(),
-            "threads=4 on a multi-rack fleet must build a worker pool"
+            pooled.pool.is_some() && pooled.shards.len() > 1,
+            "threads=4 on a multi-rack fleet must shard over a worker pool"
         );
-        let b = par.run_to_horizon();
+        let b = pooled.run_to_horizon();
         assert_eq!(a, b);
-        assert_eq!(seq.snapshot(), par.snapshot());
+        assert_eq!(one.snapshot(), pooled.snapshot());
     }
 
     #[test]

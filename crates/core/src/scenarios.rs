@@ -538,7 +538,7 @@ mod tests {
         // The knob must not leak into the label: results are identical,
         // so sweeps and checkpoints key on the same label at any count.
         assert_eq!(one.label, four.label);
-        // Zero is sanitized to the sequential path.
+        // Zero is sanitized to one thread.
         assert_eq!(build(0).threads, 1);
     }
 

@@ -38,6 +38,9 @@ pub enum SimError {
         /// Servers in the topology.
         servers: usize,
     },
+    /// A topology does not have the layout the builder produces (e.g. a
+    /// hand-edited or corrupted config).
+    MalformedTopology(&'static str),
     /// A checkpointed event log could not be decoded.
     EventLog(EventLogError),
     /// A checkpointed array does not have this simulation's length.
@@ -63,6 +66,7 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::EmptyTopology => write!(f, "topology has no servers"),
+            SimError::MalformedTopology(why) => write!(f, "malformed topology: {why}"),
             SimError::UnknownServer(s) => write!(f, "unknown server {s}"),
             SimError::UnknownVm(v) => write!(f, "unknown VM {v}"),
             SimError::ServerNotEmpty { server, vms } => {

@@ -30,6 +30,8 @@ use rand::rngs::CounterRng;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
+use crate::par::Carve;
+
 /// A sensor channel at the controller ingestion boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SensorChannel {
@@ -614,132 +616,68 @@ impl FaultInjector {
         false
     }
 
-    /// Carves the per-server actuator-jam state into disjoint shard
-    /// views over `ranges` (which must be disjoint, ascending, and
-    /// cover `0..num_servers`). Each shard answers
+    /// Carves the per-server actuator-jam state into shard views: the
+    /// returned [`ActuatorDrawCarve`] hands out one [`ActuatorDrawShard`]
+    /// per ascending server range. Each shard answers
     /// [`ActuatorDrawShard::pstate_write_blocked`] for its own servers
-    /// with exactly the verdicts the whole injector would produce —
-    /// the draws live on per-server counter streams, so shard-local
+    /// with exactly the verdicts the whole injector would produce — the
+    /// draws live on per-server counter streams, so shard-local
     /// evaluation order cannot perturb anything.
-    pub fn actuator_shards(&mut self, ranges: &[Range<usize>]) -> Vec<ActuatorDrawShard<'_>> {
-        carve_actuator_shards(
-            &mut self.stuck_actuators,
-            &mut self.actuator_ctr,
-            ranges,
-            self.actuator_on,
-            self.plan.actuator,
-            self.actuator_rng,
-        )
+    pub fn actuator_shards(&mut self) -> ActuatorDrawCarve<'_> {
+        ActuatorDrawCarve {
+            active: self.actuator_on,
+            spec: self.plan.actuator,
+            rng: self.actuator_rng,
+            thaw: Carve::new(&mut self.stuck_actuators),
+            ctr: Carve::new(&mut self.actuator_ctr),
+        }
     }
 
-    /// Carves actuator-jam state **and** one per-server sensor channel
-    /// (`ServerPower` for SM epochs, `ServerUtilization` for EC epochs)
-    /// into paired shard views over the same server `ranges`, so one
-    /// worker can take both the sense and the write draws for its
-    /// servers.
+    /// Carves actuator-jam state **and** one sensor channel into paired
+    /// shard views, so one shard can take both the sense and the write
+    /// draws. The sensor carver is indexed in `channel`'s own space:
+    /// server ranges for `ServerPower` (SM) and `ServerUtilization` (EC),
+    /// enclosure ranges for `EnclosurePower` (EM, whose shards clamp
+    /// their servers but sense their enclosures).
     pub fn draw_shards(
         &mut self,
-        ranges: &[Range<usize>],
         channel: SensorChannel,
-    ) -> Vec<(ActuatorDrawShard<'_>, SensorDrawShard<'_>)> {
-        debug_assert!(
-            matches!(
-                channel,
-                SensorChannel::ServerPower | SensorChannel::ServerUtilization
-            ),
-            "draw_shards carves per-server channels; got {channel:?}"
-        );
-        let act = carve_actuator_shards(
-            &mut self.stuck_actuators,
-            &mut self.actuator_ctr,
-            ranges,
-            self.actuator_on,
-            self.plan.actuator,
-            self.actuator_rng,
-        );
+    ) -> (ActuatorDrawCarve<'_>, SensorCarve<'_>) {
+        let act = ActuatorDrawCarve {
+            active: self.actuator_on,
+            spec: self.plan.actuator,
+            rng: self.actuator_rng,
+            thaw: Carve::new(&mut self.stuck_actuators),
+            ctr: Carve::new(&mut self.actuator_ctr),
+        };
         let (base, ctr, until, val) = self.sensors.channel_slices(channel);
-        let sens = carve_sensor_shards(
+        let sense = SensorCarve::new(
+            base,
             ctr,
             until,
             val,
-            base,
-            ranges,
             self.sensor_on,
             self.plan.sensor,
             self.sensor_rng,
         );
-        act.into_iter().zip(sens).collect()
+        (act, sense)
     }
 
-    /// Carves actuator-jam state over `server_ranges` paired with the
-    /// `EnclosurePower` sense state over `enc_ranges` (one enclosure
-    /// range per server range) for EM epochs, where each shard clamps
-    /// its servers but senses its enclosures.
-    pub fn em_draw_shards(
-        &mut self,
-        server_ranges: &[Range<usize>],
-        enc_ranges: &[Range<usize>],
-    ) -> Vec<(ActuatorDrawShard<'_>, SensorDrawShard<'_>)> {
-        debug_assert_eq!(server_ranges.len(), enc_ranges.len());
-        let act = carve_actuator_shards(
-            &mut self.stuck_actuators,
-            &mut self.actuator_ctr,
-            server_ranges,
-            self.actuator_on,
-            self.plan.actuator,
-            self.actuator_rng,
-        );
-        let (base, ctr, until, val) = self.sensors.channel_slices(SensorChannel::EnclosurePower);
-        let sens = carve_sensor_shards(
-            ctr,
-            until,
-            val,
-            base,
-            enc_ranges,
-            self.sensor_on,
-            self.plan.sensor,
-            self.sensor_rng,
-        );
-        act.into_iter().zip(sens).collect()
-    }
-
-    /// Carves the `GroupChildPower` sense state into paired shard views
-    /// for GM window fan-out: per shard, one view over its enclosure
-    /// children (`enc_ranges`, enclosure index space) and one over its
-    /// standalone children (`sa_ranges`, standalone ordinal space — the
+    /// Carves the `GroupChildPower` sense state for the GM window pass:
+    /// one carver over the enclosure children (enclosure index space) and
+    /// one over the standalone children (standalone ordinal space — the
     /// standalone child `k` is GM child `num_enclosures + k`).
-    pub fn gm_child_shards(
-        &mut self,
-        enc_ranges: &[Range<usize>],
-        sa_ranges: &[Range<usize>],
-    ) -> Vec<(SensorDrawShard<'_>, SensorDrawShard<'_>)> {
-        debug_assert_eq!(enc_ranges.len(), sa_ranges.len());
+    pub fn gm_child_shards(&mut self) -> (SensorCarve<'_>, SensorCarve<'_>) {
         let num_enclosures = self.sensors.num_enclosures;
         let (base, ctr, until, val) = self.sensors.channel_slices(SensorChannel::GroupChildPower);
         let (ctr_e, ctr_s) = ctr.split_at_mut(num_enclosures);
         let (until_e, until_s) = until.split_at_mut(num_enclosures);
         let (val_e, val_s) = val.split_at_mut(num_enclosures);
-        let enc = carve_sensor_shards(
-            ctr_e,
-            until_e,
-            val_e,
-            base,
-            enc_ranges,
-            self.sensor_on,
-            self.plan.sensor,
-            self.sensor_rng,
-        );
-        let sa = carve_sensor_shards(
-            ctr_s,
-            until_s,
-            val_s,
-            base + num_enclosures,
-            sa_ranges,
-            self.sensor_on,
-            self.plan.sensor,
-            self.sensor_rng,
-        );
-        enc.into_iter().zip(sa).collect()
+        let (on, spec, rng) = (self.sensor_on, self.plan.sensor, self.sensor_rng);
+        (
+            SensorCarve::new(base, ctr_e, until_e, val_e, on, spec, rng),
+            SensorCarve::new(base + num_enclosures, ctr_s, until_s, val_s, on, spec, rng),
+        )
     }
 
     /// Whether one budget grant message on grant link `link` is lost in
@@ -829,82 +767,88 @@ impl FaultInjector {
     }
 }
 
-/// Splits `data` into disjoint `&mut` sub-slices over `ranges`, which
-/// must be disjoint and ascending (gaps are skipped).
-fn split_ranges_mut<'a, T>(mut data: &'a mut [T], ranges: &[Range<usize>]) -> Vec<&'a mut [T]> {
-    let mut out = Vec::with_capacity(ranges.len());
-    let mut consumed = 0usize;
-    for range in ranges {
-        debug_assert!(range.start >= consumed, "shard ranges must ascend");
-        let (_skip, rest) = data.split_at_mut(range.start - consumed);
-        let (head, rest) = rest.split_at_mut(range.len());
-        data = rest;
-        consumed = range.end;
-        out.push(head);
-    }
-    out
-}
-
-fn carve_actuator_shards<'a>(
-    thaw: &'a mut [u64],
-    ctr: &'a mut [u64],
-    ranges: &[Range<usize>],
+/// Hands out [`ActuatorDrawShard`]s over consecutive server ranges;
+/// produced by [`FaultInjector::actuator_shards`] and
+/// [`FaultInjector::draw_shards`].
+#[derive(Debug)]
+pub struct ActuatorDrawCarve<'a> {
     active: bool,
     spec: ActuatorFaultSpec,
     rng: CounterRng,
-) -> Vec<ActuatorDrawShard<'a>> {
-    let thaws = split_ranges_mut(thaw, ranges);
-    let ctrs = split_ranges_mut(ctr, ranges);
-    ranges
-        .iter()
-        .zip(thaws)
-        .zip(ctrs)
-        .map(|((range, thaw), ctr)| ActuatorDrawShard {
-            lo: range.start,
-            active,
-            prob: spec.stuck_prob,
-            stuck_ticks: spec.stuck_ticks,
-            rng,
-            thaw,
-            ctr,
-        })
-        .collect()
+    thaw: Carve<'a, u64>,
+    ctr: Carve<'a, u64>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn carve_sensor_shards<'a>(
-    ctr: &'a mut [u64],
-    stuck_until: &'a mut [u64],
-    stuck_val: &'a mut [f64],
+impl<'a> ActuatorDrawCarve<'a> {
+    /// The jam-draw view of server `range`.
+    #[inline]
+    pub fn take(&mut self, range: Range<usize>) -> ActuatorDrawShard<'a> {
+        ActuatorDrawShard {
+            lo: range.start,
+            active: self.active,
+            prob: self.spec.stuck_prob,
+            stuck_ticks: self.spec.stuck_ticks,
+            rng: self.rng,
+            thaw: self.thaw.take(range.clone()),
+            ctr: self.ctr.take(range),
+        }
+    }
+}
+
+/// Hands out [`SensorDrawShard`]s of one sensor channel over consecutive
+/// index ranges; produced by [`FaultInjector::draw_shards`] and
+/// [`FaultInjector::gm_child_shards`].
+#[derive(Debug)]
+pub struct SensorCarve<'a> {
+    /// Global sensor slot of channel index 0.
     slot_base: usize,
-    ranges: &[Range<usize>],
     active: bool,
     spec: SensorFaultSpec,
     rng: CounterRng,
-) -> Vec<SensorDrawShard<'a>> {
-    let ctrs = split_ranges_mut(ctr, ranges);
-    let untils = split_ranges_mut(stuck_until, ranges);
-    let vals = split_ranges_mut(stuck_val, ranges);
-    ranges
-        .iter()
-        .zip(ctrs)
-        .zip(untils)
-        .zip(vals)
-        .map(|(((range, ctr), stuck_until), stuck_val)| SensorDrawShard {
-            lo: range.start,
-            slot0: slot_base + range.start,
+    ctr: Carve<'a, u64>,
+    stuck_until: Carve<'a, u64>,
+    stuck_val: Carve<'a, f64>,
+}
+
+impl<'a> SensorCarve<'a> {
+    fn new(
+        slot_base: usize,
+        ctr: &'a mut [u64],
+        stuck_until: &'a mut [u64],
+        stuck_val: &'a mut [f64],
+        active: bool,
+        spec: SensorFaultSpec,
+        rng: CounterRng,
+    ) -> Self {
+        Self {
+            slot_base,
             active,
             spec,
             rng,
-            ctr,
-            stuck_until,
-            stuck_val,
-        })
-        .collect()
+            ctr: Carve::new(ctr),
+            stuck_until: Carve::new(stuck_until),
+            stuck_val: Carve::new(stuck_val),
+        }
+    }
+
+    /// The sense-draw view of channel indices `range`.
+    #[inline]
+    pub fn take(&mut self, range: Range<usize>) -> SensorDrawShard<'a> {
+        SensorDrawShard {
+            lo: range.start,
+            slot0: self.slot_base + range.start,
+            active: self.active,
+            spec: self.spec,
+            rng: self.rng,
+            ctr: self.ctr.take(range.clone()),
+            stuck_until: self.stuck_until.take(range.clone()),
+            stuck_val: self.stuck_val.take(range),
+        }
+    }
 }
 
-/// A disjoint per-shard view of the actuator-jam state, produced by
-/// [`FaultInjector::actuator_shards`]. Holds `&mut` slices of the
+/// A disjoint per-shard view of the actuator-jam state, handed out by
+/// an [`ActuatorDrawCarve`]. Holds `&mut` slices of the
 /// injector's thaw ticks and draw counters for one contiguous server
 /// range, so worker threads can take the conditional jam draw locally.
 #[derive(Debug)]
@@ -941,7 +885,7 @@ impl ActuatorDrawShard<'_> {
 }
 
 /// A disjoint per-shard view of one sensor channel's fault state,
-/// produced by [`FaultInjector::draw_shards`] and friends. Holds `&mut`
+/// handed out by a [`SensorCarve`]. Holds `&mut`
 /// slices of the per-slot counters and stuck windows for one contiguous
 /// index range, so worker threads can take the conditional sense draws
 /// locally with exactly the verdicts the whole injector would produce.
@@ -1378,7 +1322,8 @@ mod tests {
         for t in 0..200 {
             let want: Vec<bool> = (0..10).map(|i| whole.pstate_write_blocked(i, t)).collect();
             let mut got = vec![false; 10];
-            let mut shards = sharded.actuator_shards(&[0..3, 3..7, 7..10]);
+            let mut carve = sharded.actuator_shards();
+            let mut shards: Vec<_> = [0..3, 3..7, 7..10].map(|r| carve.take(r)).into();
             // Deliberately evaluate shards out of order: counter streams
             // make the order irrelevant.
             for shard in shards.iter_mut().rev() {
@@ -1408,7 +1353,11 @@ mod tests {
             let mut got = vec![Reading::Dropped; 10];
             let mut blocked = false;
             let ranges = [0..3, 3..7, 7..10];
-            let mut shards = sharded.draw_shards(&ranges, SensorChannel::ServerPower);
+            let (mut acts, mut senses) = sharded.draw_shards(SensorChannel::ServerPower);
+            let mut shards: Vec<_> = ranges
+                .iter()
+                .map(|r| (acts.take(r.clone()), senses.take(r.clone())))
+                .collect();
             // Deliberately evaluate shards out of order: counter streams
             // make the order irrelevant.
             for (k, (act, sens)) in shards.iter_mut().enumerate().rev() {
@@ -1439,7 +1388,12 @@ mod tests {
             let mut got = vec![Reading::Dropped; 5];
             let enc_ranges = [0..1, 1..2];
             let sa_ranges = [0..2, 2..3];
-            let mut shards = sharded.gm_child_shards(&enc_ranges, &sa_ranges);
+            let (mut encs, mut sas) = sharded.gm_child_shards();
+            let mut shards: Vec<_> = enc_ranges
+                .iter()
+                .zip(&sa_ranges)
+                .map(|(e, s)| (encs.take(e.clone()), sas.take(s.clone())))
+                .collect();
             for (k, (enc, sa)) in shards.iter_mut().enumerate().rev() {
                 for e in enc_ranges[k].clone() {
                     got[e] = enc.sense(e, t, 400.0 + e as f64);
@@ -1467,7 +1421,12 @@ mod tests {
             let enc_ranges = [0..1, 1..3];
             let mut got_sense = vec![Reading::Dropped; 3];
             let mut got_block = vec![false; 6];
-            let mut shards = sharded.em_draw_shards(&server_ranges, &enc_ranges);
+            let (mut acts, mut senses) = sharded.draw_shards(SensorChannel::EnclosurePower);
+            let mut shards: Vec<_> = server_ranges
+                .iter()
+                .zip(&enc_ranges)
+                .map(|(s, e)| (acts.take(s.clone()), senses.take(e.clone())))
+                .collect();
             for (k, (act, sens)) in shards.iter_mut().enumerate().rev() {
                 for e in enc_ranges[k].clone() {
                     got_sense[e] = sens.sense(e, t, 700.0);

@@ -52,7 +52,7 @@ mod error;
 mod events;
 mod faults;
 mod ids;
-mod par;
+pub mod par;
 mod placement;
 pub mod reduce;
 mod redundancy;
@@ -62,13 +62,15 @@ mod topology;
 pub use bus::{BusConfig, BusEvent, BusSnapshot, ControlBus, GrantMsg, LinkId, RetryConfig};
 pub use config::SimConfig;
 pub use engine::{
-    ActuatorShard, ShardEffects, SimEpochView, SimSnapshot, Simulation, VmObservation, VmView,
+    ActuatorCarve, ActuatorShard, ShardEffects, SimEpochView, SimSnapshot, Simulation,
+    VmObservation, VmView,
 };
 pub use error::SimError;
 pub use events::{Event, EventLog, EventLogError, EventLogSnapshot, LoggedEvent};
 pub use faults::{
-    ActuatorDrawShard, ActuatorFaultSpec, ControllerLayer, FaultInjector, FaultPlan,
-    InjectorSnapshot, OutageWindow, Reading, SensorChannel, SensorDrawShard, SensorFaultSpec,
+    ActuatorDrawCarve, ActuatorDrawShard, ActuatorFaultSpec, ControllerLayer, FaultInjector,
+    FaultPlan, InjectorSnapshot, OutageWindow, Reading, SensorCarve, SensorChannel,
+    SensorDrawShard, SensorFaultSpec,
 };
 pub use ids::{EnclosureId, RackId, ServerId, VmId};
 pub use par::WorkerPool;

@@ -194,6 +194,85 @@ impl Topology {
         shards
     }
 
+    /// The enclosures each shard of `shards` owns, as one dense enclosure
+    /// range per shard. An enclosure belongs to the shard whose server
+    /// range holds its first member slot (`enclosure e` starts at slot
+    /// `enclosure_offsets[e]`), so an empty enclosure belongs to the shard
+    /// at its offset — the last shard when that offset is the end of the
+    /// fleet. With `shards` from [`Topology::shard_ranges`] (cut on
+    /// enclosure boundaries) every member of an owned enclosure lies in
+    /// its owner's server range. Computed once per run, not per tick.
+    pub fn shard_enclosures(
+        &self,
+        shards: &[std::ops::Range<usize>],
+    ) -> Vec<std::ops::Range<usize>> {
+        let starts = &self.enclosure_offsets[..self.num_enclosures()];
+        let mut lo = 0;
+        (0..shards.len())
+            .map(|k| {
+                let hi = match shards.get(k + 1) {
+                    Some(next) => starts.partition_point(|&o| o < next.start),
+                    None => starts.len(),
+                };
+                let owned = lo..hi;
+                lo = hi;
+                owned
+            })
+            .collect()
+    }
+
+    /// Checks the layout the builder produces and the simulator and
+    /// runner rely on: enclosure `e`'s members are the ascending server
+    /// block `enclosure_offsets[e]..enclosure_offsets[e + 1]`, the
+    /// standalone servers follow as one dense tail, the reverse map
+    /// agrees, and the racks partition the enclosures in order. A
+    /// topology deserialized from a config is checked here before use.
+    pub fn validate(&self) -> Result<()> {
+        let bad = |reason| Err(SimError::MalformedTopology(reason));
+        let offsets = &self.enclosure_offsets;
+        if offsets.first() != Some(&0)
+            || offsets.windows(2).any(|w| w[0] > w[1])
+            || offsets.last() != Some(&self.enclosure_flat.len())
+        {
+            return bad("enclosure offsets do not partition the member list");
+        }
+        if self
+            .enclosure_flat
+            .iter()
+            .enumerate()
+            .any(|(k, s)| s.0 != k)
+        {
+            return bad("enclosure members are not one ascending block of server ids");
+        }
+        let flat = self.enclosure_flat.len();
+        if self
+            .standalone
+            .iter()
+            .enumerate()
+            .any(|(k, s)| s.0 != flat + k)
+        {
+            return bad("standalone servers are not a dense tail after the enclosures");
+        }
+        if self.server_enclosure.len() != flat + self.standalone.len()
+            || (0..self.num_enclosures()).any(|e| {
+                self.server_enclosure[offsets[e]..offsets[e + 1]]
+                    .iter()
+                    .any(|&owner| owner != Some(EnclosureId(e)))
+            })
+            || self.server_enclosure[flat..].iter().any(Option::is_some)
+        {
+            return bad("server-to-enclosure map disagrees with the membership");
+        }
+        let racks = &self.rack_offsets;
+        if racks.first() != Some(&0)
+            || racks.windows(2).any(|w| w[0] >= w[1])
+            || racks.last() != Some(&self.num_enclosures())
+        {
+            return bad("rack offsets do not partition the enclosures");
+        }
+        Ok(())
+    }
+
     /// The enclosure housing `s`, or `None` for standalone servers.
     pub fn enclosure_of(&self, s: ServerId) -> Option<EnclosureId> {
         self.server_enclosure.get(s.0).copied().flatten()
@@ -489,6 +568,78 @@ mod tests {
         assert_eq!(fine.iter().map(|r| r.len()).sum::<usize>(), 166);
         // 8 enclosures + 6 standalone servers = 14 indivisible units.
         assert_eq!(fine.len(), 14);
+    }
+
+    #[test]
+    fn shard_enclosures_give_empty_enclosures_to_the_shard_at_their_offset() {
+        // Enclosures: 0 and 1 (16 blades each), 2 empty at slot 32,
+        // 3..7 (8 blades each), then 3 standalone servers.
+        let t = Topology::builder()
+            .rack(2, 16)
+            .enclosure(0)
+            .racks(2, 2, 8)
+            .standalone(3)
+            .build();
+        let whole = t.shard_enclosures(&t.shard_ranges(1));
+        assert_eq!((whole.len(), whole[0].clone()), (1, 0..7));
+        assert_eq!(t.shard_enclosures(&[0..32, 32..67]), vec![0..2, 2..7]);
+        assert_eq!(
+            t.shard_enclosures(&[0..16, 16..48, 48..64, 64..67]),
+            vec![0..1, 1..5, 5..7, 7..7]
+        );
+        // An empty enclosure at the very end of the fleet goes to the last shard.
+        let t = Topology::builder().enclosures(2, 2).enclosure(0).build();
+        assert_eq!(t.shard_enclosures(&[0..2, 2..4]), vec![0..1, 1..3]);
+        for t in [Topology::paper_180(), Topology::multi_rack(4, 3, 8, 16)] {
+            for k in [1, 2, 3, 7, 64] {
+                let shards = t.shard_ranges(k);
+                let encs = t.shard_enclosures(&shards);
+                assert_eq!(encs.len(), shards.len());
+                assert_eq!(encs.last().unwrap().end, t.num_enclosures());
+                for (r, owned) in shards.iter().zip(&encs) {
+                    for e in owned.clone() {
+                        for s in t.enclosure_servers(EnclosureId(e)) {
+                            assert!(r.contains(&s.index()), "enclosure {e} leaves shard {r:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn validate_accepts_built_topologies_and_rejects_reordered_members() {
+        for t in [
+            Topology::paper_180(),
+            Topology::multi_rack(2, 2, 4, 4),
+            Topology::builder().standalone(3).build(),
+            Topology::builder()
+                .rack(2, 16)
+                .enclosure(0)
+                .standalone(1)
+                .build(),
+        ] {
+            assert_eq!(t.validate(), Ok(()));
+        }
+        let good = Topology::builder().racks(2, 2, 8).standalone(2).build();
+        let mut swapped = good.clone();
+        swapped.enclosure_flat.swap(0, 8);
+        assert!(matches!(
+            swapped.validate(),
+            Err(SimError::MalformedTopology(_))
+        ));
+        let mut sparse_tail = good.clone();
+        sparse_tail.standalone[1] = ServerId(40);
+        assert!(matches!(
+            sparse_tail.validate(),
+            Err(SimError::MalformedTopology(_))
+        ));
+        let mut short_offsets = good;
+        short_offsets.enclosure_offsets.pop();
+        assert!(matches!(
+            short_offsets.validate(),
+            Err(SimError::MalformedTopology(_))
+        ));
     }
 
     #[test]

@@ -96,23 +96,13 @@ fn class(t: u64, iv: &Intervals) -> Class {
     }
 }
 
-#[test]
-fn coordinated_ticks_stay_within_the_allocation_budget() {
-    let cfg = Scenario::paper(
-        SystemKind::BladeA,
-        Mix::All180,
-        CoordinationMode::Coordinated,
-    )
-    .horizon(1_200)
-    .seed(5)
-    .threads(1)
-    .build();
-    assert!(cfg.bus.is_passthrough() && !cfg.bus.retry.enabled());
+/// Ticks `cfg` to its horizon and asserts that no base, SM, EM or GM
+/// tick after `warm_up` allocates. VMC ticks plan a new placement and
+/// are exempt.
+fn assert_ticks_allocation_free(cfg: &ExperimentConfig, warm_up: u64) {
     let iv = cfg.intervals;
-    // The first EM and GM epochs grow the reused buffers to size.
-    let warm_up = iv.gm;
 
-    let mut runner = Runner::new(&cfg);
+    let mut runner = Runner::new(cfg);
     let mut checked = [0u64; 4];
     while runner.ticks_done() < cfg.horizon {
         let t = runner.ticks_done();
@@ -135,4 +125,55 @@ fn coordinated_ticks_stay_within_the_allocation_budget() {
         checked.iter().all(|&n| n > 0),
         "every epoch class must be exercised: {checked:?}"
     );
+}
+
+#[test]
+fn coordinated_ticks_stay_within_the_allocation_budget() {
+    let cfg = Scenario::paper(
+        SystemKind::BladeA,
+        Mix::All180,
+        CoordinationMode::Coordinated,
+    )
+    .horizon(1_200)
+    .seed(5)
+    .threads(1)
+    .build();
+    assert!(cfg.bus.is_passthrough() && !cfg.bus.retry.enabled());
+    // The first EM and GM epochs grow the reused buffers to size.
+    assert_ticks_allocation_free(&cfg, cfg.intervals.gm);
+}
+
+/// The same budget under faults, the electrical clamp and the invariant
+/// monitor: sensor noise, stuck and dropped samples, jammed actuators and
+/// lost grants, with the clamp deepening EC writes into thousands of
+/// P-state conflicts. Buffering those conflicts, the fault counters and
+/// the clamp's shard views must not touch the heap either.
+#[test]
+fn faulty_capped_ticks_stay_within_the_allocation_budget() {
+    let plan = FaultPlan::disabled()
+        .with_seed(99)
+        .with_sensor_noise(0.02)
+        .with_stuck_sensors(0.01, 12)
+        .with_dropped_samples(0.01)
+        .with_stuck_actuators(0.005, 8)
+        .with_message_loss(0.02);
+    let cfg = Scenario::paper(
+        SystemKind::ServerB,
+        Mix::Hh60,
+        CoordinationMode::Coordinated,
+    )
+    .electrical_cap(0.9)
+    .invariants(true)
+    .faults(plan)
+    .horizon(2_000)
+    .seed(5)
+    .threads(1)
+    .build();
+    // Two GM periods: the simulator's event ring, which logs every
+    // conflict, also reaches its full capacity by then.
+    assert_ticks_allocation_free(&cfg, 2 * cfg.intervals.gm);
+    let mut runner = Runner::new(&cfg);
+    let stats = runner.run_to_horizon();
+    assert!(stats.pstate_conflicts > 10_000, "{stats:?}");
+    assert!(runner.fault_stats().actuator_blocked > 0);
 }

@@ -1,24 +1,26 @@
-//! Differential property tests for rack-sharded parallel epoch
-//! execution.
+//! Differential property tests for rack-sharded epoch execution.
 //!
-//! The tentpole contract: `ExperimentConfig::threads` is purely a
-//! throughput knob. Whatever the worker-thread count, a run must produce
+//! The contract: `ExperimentConfig::threads` is purely a throughput
+//! knob. Each controller epoch has one body that runs per shard; at one
+//! thread it runs once, inline, over a single whole-fleet shard, and that
+//! one-shard run is the reference. At N threads the same body runs over
+//! the topology's N-way shard partition, and the run must produce
 //! **bit-identical** results — the same `RunStats`, the same telemetry
 //! stream in the same order, and a byte-identical end-of-run checkpoint
 //! (every float bit-packed). These tests sweep randomized multi-rack
 //! topologies (uniform and lopsided — one rack dwarfing the rest, which
-//! exercises the size-weighted shard cuts), coordination modes, fault
-//! plans, bus delivery faults, and the electrical capper (its clamp now
-//! runs sharded, like the EC/SM/EM epochs) through thread counts
-//! {1, 2, 4, 7} in lockstep, and additionally prove checkpoints are
+//! exercises the size-weighted shard cuts — with and without an empty
+//! enclosure), coordination modes, fault plans, bus delivery faults, and
+//! the electrical clamp through thread counts {2, 4, 7} against the
+//! one-shard reference, and additionally prove checkpoints are
 //! thread-count-agnostic: a snapshot taken at N threads resumes
 //! bit-exactly at M threads.
 
 use no_power_struggles::prelude::*;
 use proptest::prelude::*;
 
-/// Thread counts swept against the sequential reference (1 = the legacy
-/// path; 7 deliberately exceeds the shard count of small topologies).
+/// Thread counts swept against the one-shard reference (the run at one
+/// thread; 7 deliberately exceeds the shard count of small topologies).
 const SWEEP: [usize; 3] = [2, 4, 7];
 
 /// Runs `cfg` to its horizon and captures a complete end-state
@@ -42,7 +44,7 @@ fn fingerprint(cfg: &ExperimentConfig) -> (String, Vec<TelemetryEvent>, RunStats
 /// A randomized fault plan covering every family, including actuator
 /// faults: their jam verdicts come from per-server counter streams
 /// (order-free across shards), so every mode — even the uncoordinated
-/// SM's conditional writes — takes the parallel path under faults.
+/// SM's conditional writes — runs sharded under faults.
 fn arb_fault_plan() -> impl Strategy<Value = FaultPlan> {
     (
         (0u64..1_000, 0.0f64..0.05, 0.0f64..0.03, 1u64..16),
@@ -94,7 +96,7 @@ fn arb_bus() -> impl Strategy<Value = BusConfig> {
 }
 
 /// Sweeps `cfg` through every thread count in [`SWEEP`] and requires the
-/// full fingerprint to match the sequential reference bit-for-bit.
+/// full fingerprint to match the one-shard reference bit-for-bit.
 fn assert_threads_invisible(cfg: &ExperimentConfig) -> Result<(), TestCaseError> {
     let reference = fingerprint(cfg);
     for &threads in &SWEEP {
@@ -147,7 +149,7 @@ proptest! {
             CoordinationMode::UncoordMinPstates,
         ][mode_idx];
         // At least one standalone server guarantees >= 2 shards, so the
-        // parallel path genuinely engages at threads > 1.
+        // pool genuinely engages at threads > 1.
         let cfg = Scenario::multi_rack(SystemKind::BladeA, mode, racks, encs, blades, standalone)
             .horizon(160)
             .seed(seed)
@@ -159,19 +161,22 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Heterogeneous rack sizes: one rack dwarfing several small ones
-    /// plus a standalone tail, with the electrical capper sometimes
-    /// engaged. Exercises the size-weighted shard cuts (ideal-position
-    /// cuts snapped to enclosure boundaries, not per-rack splits), the
-    /// parallel EM epoch over unequal enclosure sizes, and the sharded
-    /// electrical clamp.
+    /// plus a standalone tail, sometimes with an empty enclosure after
+    /// the big rack or before the tail, with the electrical capper
+    /// sometimes engaged. Exercises the size-weighted shard cuts
+    /// (ideal-position cuts snapped to enclosure boundaries, not per-rack
+    /// splits), the sharded EM epoch and GM window pass over unequal and
+    /// empty enclosures (an empty one belongs to the shard at its member
+    /// offset), and the sharded electrical clamp.
     #[test]
     fn thread_count_is_invisible_on_lopsided_fleets(
         (big_encs, big_blades) in (2usize..5, 8usize..17),
         (small_racks, small_blades) in (1usize..4, 2usize..5),
         standalone in 1usize..4,
+        empty_at in 0usize..3,
         (elec_on, elec_frac) in (proptest::bool::ANY, 0.85f64..0.98),
         mode_idx in 0usize..3,
         seed in 0u64..1_000,
@@ -183,11 +188,15 @@ proptest! {
             CoordinationMode::Uncoordinated,
             CoordinationMode::UncoordMinPstates,
         ][mode_idx];
-        let topo = Topology::builder()
-            .rack(big_encs, big_blades)
-            .racks(small_racks, 1, small_blades)
-            .standalone(standalone)
-            .build();
+        let mut builder = Topology::builder().rack(big_encs, big_blades);
+        if empty_at == 1 {
+            builder = builder.enclosure(0);
+        }
+        builder = builder.racks(small_racks, 1, small_blades);
+        if empty_at == 2 {
+            builder = builder.enclosure(0);
+        }
+        let topo = builder.standalone(standalone).build();
         let mut scenario = Scenario::paper(SystemKind::BladeA, Mix::All180, mode)
             .topology(topo)
             .horizon(160)
@@ -206,9 +215,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// GM-heavy configurations: a tight `T_gm` against many enclosures,
-    /// so GM epochs dominate the run and the fan-out window pass — now
+    /// so GM epochs dominate the run and the sharded window pass —
     /// carrying per-child counter-stream sensor draws and the full
-    /// hardening pipeline in-shard — fires constantly. The sequential
+    /// hardening pipeline in-shard — fires constantly. The one-shard
     /// ingest order (all enclosures, then all standalones) must survive
     /// the two-buffer telemetry replay at every thread count.
     #[test]
@@ -325,5 +334,43 @@ fn checkpoint_resumes_bit_exactly_across_thread_counts() {
             got, want,
             "resume at {threads} threads diverged from the uninterrupted run"
         );
+    }
+}
+
+/// A topology read back from a config is checked before anything runs on
+/// it: enclosure members must be the ascending server block the builder
+/// lays out, since shards index members by their offset in the shard.
+/// Swapping one member between the first two enclosures must get the
+/// same typed error from `Runner::try_new` at every thread count.
+#[test]
+fn malformed_topology_is_rejected_at_every_thread_count() {
+    use nps_core::CoreError;
+    use nps_sim::SimError;
+
+    let topo = Topology::builder().racks(2, 2, 8).standalone(2).build();
+    let json = serde_json::to_string(&topo).expect("topology serializes");
+    let swapped = json.replacen(
+        r#""enclosure_flat":[0,1,2,3,4,5,6,7,8,"#,
+        r#""enclosure_flat":[8,1,2,3,4,5,6,7,0,"#,
+        1,
+    );
+    assert_ne!(json, swapped, "the member list was not found");
+    let topo: Topology = serde_json::from_str(&swapped).expect("still well-formed JSON");
+    let cfg = Scenario::paper(
+        SystemKind::BladeA,
+        Mix::All180,
+        CoordinationMode::Coordinated,
+    )
+    .topology(topo)
+    .horizon(50)
+    .build();
+    for threads in [1, 2, 4, 7] {
+        let mut c = cfg.clone();
+        c.threads = threads;
+        match Runner::try_new(&c) {
+            Err(CoreError::Sim(SimError::MalformedTopology(_))) => {}
+            Err(e) => panic!("{threads} threads: wrong error {e}"),
+            Ok(_) => panic!("{threads} threads: a malformed topology was accepted"),
+        }
     }
 }
