@@ -805,20 +805,8 @@ impl Runner {
             u64::MAX
         };
         match target {
-            GrantTarget::Server(i) => {
-                if self.lease_ticks > 0 {
-                    self.bank.set_granted_cap_leased(i, msg.watts, lease_until);
-                } else {
-                    self.bank.set_granted_cap(i, msg.watts);
-                }
-            }
-            GrantTarget::Enclosure(e) => {
-                if self.lease_ticks > 0 {
-                    self.ems[e].set_granted_cap_leased(msg.watts, lease_until);
-                } else {
-                    self.ems[e].set_granted_cap(msg.watts);
-                }
-            }
+            GrantTarget::Server(i) => self.bank.set_granted_cap_leased(i, msg.watts, lease_until),
+            GrantTarget::Enclosure(e) => self.ems[e].set_granted_cap_leased(msg.watts, lease_until),
         }
         let watts = msg.watts;
         self.emit(|| TelemetryEvent::BudgetGrant {
@@ -869,11 +857,9 @@ impl Runner {
     /// sequence number; the bus only decides delivery, duplication,
     /// staleness, retransmission, or exhaustion.
     fn apply_sync_event(&mut self, slot: usize, event: &BusEvent) {
-        let rep = match self.sync_peers[slot - self.sync_base] {
-            SyncPeer::Gm => self.gm_replica.as_mut(),
-            SyncPeer::Em(e) => self.em_replicas.get_mut(e),
+        let Some(rep) = self.sync_replica(slot) else {
+            return;
         };
-        let Some(rep) = rep else { return };
         match event {
             BusEvent::Delivered(m) => {
                 if rep.deliver_sync(m.seq) {
@@ -903,46 +889,26 @@ impl Runner {
         }
     }
 
-    /// Ships the GM's post-epoch controller state to its standby as a
-    /// sequence-numbered sync message (no-op without a GM standby).
-    fn send_gm_sync(&mut self) {
-        let Some(slot) = self.gm_sync_link else {
-            return;
-        };
-        let t = self.ticks_done;
-        let snap = self.gm.snapshot();
-        let watts = self.gm.effective_cap_watts();
-        let mut events = std::mem::take(&mut self.bus_events);
-        let (seq, enqueued) = self
-            .bus
-            .send_into(LinkId(slot), watts, t, false, &mut events);
-        self.rstats.syncs_sent += 1;
-        if enqueued {
-            if let Some(rep) = &mut self.gm_replica {
-                rep.record_sync(seq, encode_capper(&snap));
-            }
-        } else {
-            self.rstats.syncs_dropped += 1;
+    /// The standby that sync link `slot` feeds, if it is deployed.
+    fn sync_replica(&mut self, slot: usize) -> Option<&mut ReplicaState> {
+        match self.sync_peers[slot - self.sync_base] {
+            SyncPeer::Gm => self.gm_replica.as_mut(),
+            SyncPeer::Em(e) => self.em_replicas.get_mut(e),
         }
-        self.apply_bus_events(events);
     }
 
-    /// Ships enclosure `e`'s EM state to its standby (no-op without EM
-    /// standbys).
-    fn send_em_sync(&mut self, e: usize) {
-        let Some(&slot) = self.em_sync_link.get(e) else {
-            return;
-        };
+    /// Ships a capper's post-epoch state (`snap`, with its effective cap
+    /// `watts` as the wire payload) to its standby over sync link `slot`
+    /// as a sequence-numbered sync message.
+    fn send_sync(&mut self, slot: usize, snap: CapperSnapshot, watts: f64) {
         let t = self.ticks_done;
-        let snap = self.ems[e].snapshot();
-        let watts = self.ems[e].effective_cap_watts();
         let mut events = std::mem::take(&mut self.bus_events);
         let (seq, enqueued) = self
             .bus
             .send_into(LinkId(slot), watts, t, false, &mut events);
         self.rstats.syncs_sent += 1;
         if enqueued {
-            if let Some(rep) = self.em_replicas.get_mut(e) {
+            if let Some(rep) = self.sync_replica(slot) {
                 rep.record_sync(seq, encode_capper(&snap));
             }
         } else {
@@ -1231,10 +1197,8 @@ impl Runner {
         if self.ticks_done > 0 {
             self.act();
         }
-        match &self.pool {
-            Some(pool) => self.sim.step_parallel(pool, &self.shards, &self.shard_encs),
-            None => self.sim.step(),
-        }
+        self.sim
+            .step_sharded(self.pool.as_ref(), &self.shards, &self.shard_encs);
         if let Some(trace) = &mut self.power_trace {
             trace.push(self.ticks_done, self.sim.group_power());
         }
@@ -1249,10 +1213,9 @@ impl Runner {
     /// through the fixed-shape reduction tree over *all* servers — an
     /// off server contributes an exact `(0.0, 0)` term, which leaves
     /// every partial's bits unchanged (all live terms are ≥ 1) while
-    /// keeping the combine order a function of fleet size alone. Large
-    /// fleets farm the leaf partials out to the pool; either driver
-    /// walks the identical tree, so the one per-tick delta added to
-    /// `cum_latency_proxy` is bit-identical at any thread count.
+    /// keeping the combine order a function of fleet size alone, so the
+    /// one per-tick delta added to `cum_latency_proxy` is bit-identical
+    /// at any thread count.
     fn accumulate_latency_proxy(&mut self) {
         let n = self.models.len();
         let sim = &self.sim;
@@ -1266,12 +1229,7 @@ impl Runner {
             }
         };
         let combine = |a: (f64, u64), b: (f64, u64)| (a.0 + b.0, a.1 + b.1);
-        let (delta, on) = match &self.pool {
-            Some(pool) if n >= PAR_VM_THRESHOLD => {
-                reduce::tree_reduce_pool(pool, n, (0.0f64, 0u64), term, combine)
-            }
-            _ => reduce::tree_reduce(n, (0.0f64, 0u64), term, combine),
-        };
+        let (delta, on) = reduce::tree_reduce(n, (0.0f64, 0u64), term, combine);
         self.cum_latency_proxy += delta;
         self.latency_samples += on;
     }
@@ -2131,7 +2089,10 @@ impl Runner {
                     run.deliver_grant(slot, watts);
                 }
                 if rec.online {
-                    run.send_em_sync(rec.enc);
+                    if let Some(&slot) = run.em_sync_link.get(rec.enc) {
+                        let em = &run.ems[rec.enc];
+                        run.send_sync(slot, em.snapshot(), em.effective_cap_watts());
+                    }
                 }
             }
             sc.grants.clear();
@@ -2380,7 +2341,9 @@ impl Runner {
             }
         }
         self.scratch_alloc = allocations;
-        self.send_gm_sync();
+        if let Some(slot) = self.gm_sync_link {
+            self.send_sync(slot, self.gm.snapshot(), self.gm.effective_cap_watts());
+        }
     }
 
     fn vmc_epoch(&mut self) {
@@ -2428,22 +2391,15 @@ impl Runner {
         let plan = self.vmc.plan(&self.scratch_demands, &ctx);
         let t = self.ticks_done;
         if self.recording() {
-            // Telemetry aggregates through the fixed-shape tree; large
-            // fleets farm the leaf partials out to the pool (both sum
-            // and max in one struct reduction), identical bits either
-            // way.
+            // Telemetry aggregates through the fixed-shape tree, sum and
+            // max in one struct reduction.
             let demands = &self.scratch_demands;
-            let (demand_sum, demand_max) = {
-                let n = demands.len();
-                let term = |j: usize| (demands[j], demands[j]);
-                let combine = |a: (f64, f64), b: (f64, f64)| (a.0 + b.0, a.1.max(b.1));
-                match &self.pool {
-                    Some(pool) if n >= PAR_VM_THRESHOLD => {
-                        reduce::tree_reduce_pool(pool, n, (0.0f64, 0.0f64), term, combine)
-                    }
-                    _ => reduce::tree_reduce(n, (0.0f64, 0.0f64), term, combine),
-                }
-            };
+            let (demand_sum, demand_max) = reduce::tree_reduce(
+                demands.len(),
+                (0.0f64, 0.0f64),
+                |j| (demands[j], demands[j]),
+                |a, b| (a.0 + b.0, a.1.max(b.1)),
+            );
             let demand_mean = if demands.is_empty() {
                 0.0
             } else {
@@ -2675,9 +2631,9 @@ fn offline_in(outages: &[OutageWindow], layer: ControllerLayer, index: usize, ti
     outages.iter().any(|w| w.covers(layer, index, tick))
 }
 
-/// Minimum VM count before the per-tick accumulators and the VMC demand
-/// pass fan out to the pool — below this the barrier costs more than the
-/// loop.
+/// Minimum VM count before the per-tick VM accumulators and the VMC
+/// demand pass fan out to the pool — below this the barrier costs more
+/// than the loop.
 const PAR_VM_THRESHOLD: usize = 64;
 
 /// Even partition of `0..num_vms` into `k` dense ascending ranges (VMs

@@ -69,13 +69,13 @@ pub struct Simulation {
     migrations_started: u64,
     thermal: Option<ThermalState>,
     events: EventLog,
-    /// Reusable per-shard `(vm, granted, delivered)` buffers for
-    /// [`Simulation::step_parallel`]. Pure scratch: cleared before every
-    /// use, never snapshotted, irrelevant to equality of trajectories.
-    scratch_vm_out: Vec<Vec<(usize, f64, f64)>>,
-    /// Reusable per-enclosure member-power sums for the sharded
-    /// enclosure aggregation in [`Simulation::step_parallel`]. Pure
-    /// scratch, like `scratch_vm_out`.
+    /// Per-server capacity share of the step in progress, written by the
+    /// shards of [`Simulation::step_sharded`] and read by its per-VM
+    /// pass. Pure scratch: overwritten every step, never snapshotted.
+    scratch_share: Vec<f64>,
+    /// Per-enclosure member-power sums of the step in progress, written
+    /// by the shard owning each enclosure. Pure scratch, like
+    /// `scratch_share`.
     scratch_enc_sums: Vec<f64>,
 }
 
@@ -160,8 +160,8 @@ impl Simulation {
             migrations_started: 0,
             thermal,
             events: EventLog::new(4_096),
-            scratch_vm_out: Vec::new(),
-            scratch_enc_sums: Vec::new(),
+            scratch_share: vec![0.0; n],
+            scratch_enc_sums: vec![0.0; num_enclosures],
         })
     }
 
@@ -169,106 +169,35 @@ impl Simulation {
 
     /// Advances the simulation by one tick: samples every trace, shares
     /// capacity on each server, updates power, thermal state, and the
-    /// cumulative accumulators.
+    /// cumulative accumulators. One whole-fleet shard of
+    /// [`Simulation::step_sharded`], run inline.
     pub fn step(&mut self) {
-        let t = self.tick;
-        let alpha_v = self.cfg.alpha_v;
-        // 1. Sample demands.
-        for (j, trace) in self.traces.iter().enumerate() {
-            let d = trace.demand_at(t);
-            self.vm_obs[j].demand = d;
-            self.cum_demand[j] += d;
-        }
-        // 2. Per-server capacity sharing and power.
-        for i in 0..self.topo.num_servers() {
-            let active = self.is_on(ServerId(i));
-            let booting = active && self.boot_until[i] > t;
-            let capacity = if active && !booting {
-                self.table.capacity(i, self.pstate[i].index())
-            } else {
-                0.0
-            };
-            let load: f64 = self.residents[i]
-                .iter()
-                .map(|&vm| self.vm_obs[vm.index()].demand * (1.0 + alpha_v))
-                .sum();
-            let (util, share) = if !active || capacity <= 0.0 {
-                (0.0, 0.0)
-            } else if load <= 0.0 {
-                (0.0, 1.0)
-            } else {
-                ((load / capacity).min(1.0), (capacity / load).min(1.0))
-            };
-            for &vm in &self.residents[i] {
-                let j = vm.index();
-                let granted = self.vm_obs[j].demand * share;
-                let penalty = if self.mig_until[j] > t {
-                    1.0 - self.cfg.alpha_m
-                } else {
-                    1.0
-                };
-                self.vm_obs[j].granted = granted;
-                self.vm_obs[j].delivered = granted * penalty;
-                self.cum_granted[j] += granted;
-                self.cum_delivered[j] += self.vm_obs[j].delivered;
-            }
-            self.util[i] = util;
-            self.power[i] = if booting {
-                // A booting server burns idle power at its P-state but
-                // does no work yet.
-                self.table.idle_power(i, self.pstate[i].index())
-            } else if active {
-                self.table.power(i, self.pstate[i].index(), util)
-            } else {
-                self.cfg.off_power_watts
-            };
-            self.cum_power[i] += self.power[i];
-            self.cum_util[i] += util;
-        }
-        // 3. Enclosure power (members + shared-infrastructure base).
-        //    Member sums go through the fixed-shape reduction tree so the
-        //    sequential and sharded paths share one combine order.
-        for e in 0..self.topo.num_enclosures() {
-            let servers = self.topo.enclosure_servers(EnclosureId(e));
-            let members = reduce::tree_sum_by(servers.len(), |m| self.power[servers[m].index()]);
-            self.cum_enc_power[e] += members + self.cfg.enclosure_base_watts;
-        }
-        // 4. Thermal.
-        if let Some(thermal) = &mut self.thermal {
-            for failed in thermal.step(&self.power) {
-                self.events.record(
-                    t,
-                    Event::ThermalFailover {
-                        server: ServerId(failed),
-                    },
-                );
-            }
-        }
-        // 5. Bookkeeping.
-        self.pstate_written_this_tick
-            .iter_mut()
-            .for_each(|w| *w = false);
-        self.tick += 1;
+        let servers = 0..self.topo.num_servers();
+        let enclosures = 0..self.topo.num_enclosures();
+        self.step_sharded(
+            None,
+            std::slice::from_ref(&servers),
+            std::slice::from_ref(&enclosures),
+        );
     }
 
     /// Advances the simulation by one tick with the per-server physics
-    /// phase sharded over `pool`. Bit-identical to [`Simulation::step`]:
-    /// demand sampling stays sequential, shards run the *exact* same
+    /// phase run per shard by [`for_each_shard`] — inline without a pool
+    /// or with one shard. Bit-identical at any sharding: demand sampling
+    /// and the per-VM pass stay sequential, shards run the same
     /// per-server arithmetic on disjoint slices (each server's float ops
-    /// are independent of every other server's), per-VM results are
-    /// buffered per shard (every VM lives on exactly one server, so its
-    /// single accumulator add lands identically regardless of apply
-    /// order), each shard sums the member power of the enclosures it
-    /// owns, and the enclosure and thermal accumulators are applied in
-    /// the sequential order after the barrier.
+    /// are independent of every other server's) and record each server's
+    /// capacity share, each shard sums the member power of the
+    /// enclosures it owns, and the VM, enclosure and thermal
+    /// accumulators are applied in one fixed order after the barrier.
     ///
     /// `shards` must be an ascending, dense partition of the server
     /// range cut on enclosure boundaries ([`Topology::shard_ranges`]),
     /// and `shard_encs` its enclosure ownership
     /// ([`Topology::shard_enclosures`]).
-    pub fn step_parallel(
+    pub fn step_sharded(
         &mut self,
-        pool: &WorkerPool,
+        pool: Option<&WorkerPool>,
         shards: &[Range<usize>],
         shard_encs: &[Range<usize>],
     ) {
@@ -286,6 +215,11 @@ impl Simulation {
             Some(self.topo.num_servers()),
             "shards must cover the fleet"
         );
+        assert_eq!(
+            shard_encs.last().map(|r| r.end),
+            Some(self.topo.num_enclosures()),
+            "shards must own every enclosure"
+        );
         // 1. Sample demands (sequential: trace iteration order is the
         //    per-VM accumulator order).
         for (j, trace) in self.traces.iter().enumerate() {
@@ -297,43 +231,34 @@ impl Simulation {
         //    disjoint `&mut` slices of the per-server arrays plus shared
         //    `&` views of everything they only read (`vm_obs` is read for
         //    `demand` alone, which phase 1 finalized).
-        let num_enc = self.topo.num_enclosures();
-        self.scratch_vm_out.resize_with(shards.len(), Vec::new);
-        self.scratch_enc_sums.clear();
-        self.scratch_enc_sums.resize(num_enc, 0.0);
         let mut util = Carve::new(&mut self.util);
         let mut power = Carve::new(&mut self.power);
         let mut cum_power = Carve::new(&mut self.cum_power);
         let mut cum_util = Carve::new(&mut self.cum_util);
+        let mut share = Carve::new(&mut self.scratch_share);
         let mut enc_sums = Carve::new(&mut self.scratch_enc_sums);
-        let views = shards
-            .iter()
-            .zip(shard_encs)
-            .zip(self.scratch_vm_out.iter_mut())
-            .map(move |((r, encs), vm_out)| {
-                vm_out.clear();
-                (
-                    r.start,
-                    util.take(r.clone()),
-                    power.take(r.clone()),
-                    cum_power.take(r.clone()),
-                    cum_util.take(r.clone()),
-                    encs.start,
-                    enc_sums.take(encs.clone()),
-                    vm_out,
-                )
-            });
+        let views = shards.iter().zip(shard_encs).map(move |(r, encs)| {
+            (
+                r.start,
+                util.take(r.clone()),
+                power.take(r.clone()),
+                cum_power.take(r.clone()),
+                cum_util.take(r.clone()),
+                share.take(r.clone()),
+                encs.start,
+                enc_sums.take(encs.clone()),
+            )
+        });
         let on = &self.on;
         let pstate = &self.pstate;
         let boot_until = &self.boot_until;
         let residents = &self.residents;
-        let mig_until = &self.mig_until;
         let vm_obs = &self.vm_obs;
         let table = &self.table;
         let thermal = self.thermal.as_ref();
         let topo = &self.topo;
-        for_each_shard(Some(pool), views, |view| {
-            let (lo, util, power, cum_power, cum_util, enc_lo, enc_sums, vm_out) = view;
+        for_each_shard(pool, views, |view| {
+            let (lo, util, power, cum_power, cum_util, share, enc_lo, enc_sums) = view;
             for off in 0..util.len() {
                 let i = lo + off;
                 let active = on[i] && thermal.map(|th| !th.is_failed(i)).unwrap_or(true);
@@ -347,21 +272,18 @@ impl Simulation {
                     .iter()
                     .map(|&vm| vm_obs[vm.index()].demand * (1.0 + alpha_v))
                     .sum();
-                let (u, share) = if !active || capacity <= 0.0 {
+                let (u, s) = if !active || capacity <= 0.0 {
                     (0.0, 0.0)
                 } else if load <= 0.0 {
                     (0.0, 1.0)
                 } else {
                     ((load / capacity).min(1.0), (capacity / load).min(1.0))
                 };
-                for &vm in &residents[i] {
-                    let j = vm.index();
-                    let granted = vm_obs[j].demand * share;
-                    let penalty = if mig_until[j] > t { 1.0 - alpha_m } else { 1.0 };
-                    vm_out.push((j, granted, granted * penalty));
-                }
+                share[off] = s;
                 util[off] = u;
                 power[off] = if booting {
+                    // A booting server burns idle power at its P-state
+                    // but does no work yet.
                     table.idle_power(i, pstate[i].index())
                 } else if active {
                     table.power(i, pstate[i].index(), u)
@@ -371,29 +293,34 @@ impl Simulation {
                 cum_power[off] += power[off];
                 cum_util[off] += u;
             }
-            // Owned-enclosure member sums: the same fixed-shape tree over
-            // the same member order as the sequential loop, so the f64
-            // result is bit-identical.
+            // Owned-enclosure member sums: a fixed-shape tree over the
+            // members in ascending order, so the f64 result does not
+            // depend on the sharding.
             for (off_e, sum) in enc_sums.iter_mut().enumerate() {
                 let servers = topo.enclosure_servers(EnclosureId(enc_lo + off_e));
                 *sum = reduce::tree_sum_by(servers.len(), |m| power[servers[m].index() - lo]);
             }
         });
-        // Barrier passed: apply the buffered per-VM observations in
-        // ascending shard (= ascending server) order.
-        for vm_out in &self.scratch_vm_out {
-            for &(j, granted, delivered) in vm_out {
-                self.vm_obs[j].granted = granted;
-                self.vm_obs[j].delivered = delivered;
-                self.cum_granted[j] += granted;
-                self.cum_delivered[j] += delivered;
-            }
+        // 3. Per-VM grants, in VM-id order. Every VM sits in exactly one
+        //    resident list, its host's, and no VM's arithmetic reads
+        //    another's, so this matches a per-server walk bit for bit.
+        for (j, obs) in self.vm_obs.iter_mut().enumerate() {
+            let granted = obs.demand * self.scratch_share[self.placement.host_of(VmId(j)).index()];
+            let penalty = if self.mig_until[j] > t {
+                1.0 - alpha_m
+            } else {
+                1.0
+            };
+            obs.granted = granted;
+            obs.delivered = granted * penalty;
+            self.cum_granted[j] += granted;
+            self.cum_delivered[j] += obs.delivered;
         }
-        // 3. Enclosure power (members + shared-infrastructure base).
+        // 4. Enclosure power (members + shared-infrastructure base).
         for (cum, &members) in self.cum_enc_power.iter_mut().zip(&self.scratch_enc_sums) {
             *cum += members + self.cfg.enclosure_base_watts;
         }
-        // 4. Thermal.
+        // 5. Thermal.
         if let Some(thermal) = &mut self.thermal {
             for failed in thermal.step(&self.power) {
                 self.events.record(
@@ -404,7 +331,7 @@ impl Simulation {
                 );
             }
         }
-        // 5. Bookkeeping.
+        // 6. Bookkeeping.
         self.pstate_written_this_tick
             .iter_mut()
             .for_each(|w| *w = false);
@@ -1558,7 +1485,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_step_is_bit_identical_to_sequential() {
+    fn sharded_step_is_bit_identical_to_one_shard() {
         // Multi-rack topology with a standalone tail, multiple VMs per
         // server, thermal tracking, and mid-run actuation — every code
         // path of the sharded phase.
@@ -1608,7 +1535,7 @@ mod tests {
                     par.migrate(VmId(0), ServerId(2)).unwrap();
                 }
                 seq.step();
-                par.step_parallel(&pool, &shards, &shard_encs);
+                par.step_sharded(Some(&pool), &shards, &shard_encs);
                 for i in 0..n {
                     let s = ServerId(i);
                     assert_eq!(

@@ -155,6 +155,11 @@ where
 /// [`tree_reduce`] with the same `n`/`map`/`combine` at any thread
 /// count, because the per-leaf fold and the combine sequence are the
 /// same code.
+///
+/// Allocates its leaf cells on every call, and the runner never calls
+/// it: every runner reduction uses [`tree_reduce`]. It is kept for
+/// perfbench's `reduce.pool_ns_per_elem` probe and for
+/// `tests/reduce_differential.rs`, which checks the two drivers agree.
 pub fn tree_reduce_pool<T, M, C>(pool: &WorkerPool, n: usize, identity: T, map: M, combine: C) -> T
 where
     T: Copy + Send + Sync,

@@ -97,7 +97,8 @@ fn arb_bus() -> impl Strategy<Value = BusConfig> {
 
 /// Sweeps `cfg` through every thread count in [`SWEEP`] and requires the
 /// full fingerprint to match the one-shard reference bit-for-bit.
-fn assert_threads_invisible(cfg: &ExperimentConfig) -> Result<(), TestCaseError> {
+/// Returns the reference run's stats.
+fn assert_threads_invisible(cfg: &ExperimentConfig) -> Result<RunStats, TestCaseError> {
     let reference = fingerprint(cfg);
     for &threads in &SWEEP {
         let mut c = cfg.clone();
@@ -128,7 +129,7 @@ fn assert_threads_invisible(cfg: &ExperimentConfig) -> Result<(), TestCaseError>
             threads
         );
     }
-    Ok(())
+    Ok(reference.2)
 }
 
 proptest! {
@@ -278,6 +279,37 @@ proptest! {
             .build();
         assert_threads_invisible(&cfg)?;
     }
+}
+
+/// Thermal failover under the sharded simulator step: the uncoordinated
+/// 60HHH race of `thermal_and_capping.rs`'s fleet-scale failure test
+/// cooks servers, and every thread count must trip the same servers on
+/// the same tick and starve their VMs identically afterwards.
+#[test]
+fn thread_count_is_invisible_with_thermally_failed_servers() -> Result<(), TestCaseError> {
+    let model = ServerModel::blade_a();
+    let cap = 0.9 * model.max_power();
+    let mut cfg = Scenario::paper(
+        SystemKind::BladeA,
+        Mix::Hhh60,
+        CoordinationMode::Uncoordinated,
+    )
+    .horizon(2_500)
+    .seed(61)
+    .build();
+    cfg.sim = cfg
+        .sim
+        .with_thermal(ThermalConfig::for_budget(model.max_power(), cap));
+    cfg.mask = ControllerMask {
+        vmc: false,
+        ..ControllerMask::ALL
+    };
+    let stats = assert_threads_invisible(&cfg)?;
+    assert!(
+        stats.failovers > 0,
+        "the uncoordinated race should cook at least one server"
+    );
+    Ok(())
 }
 
 /// A checkpoint taken at one thread count must resume bit-exactly at any
