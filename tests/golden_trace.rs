@@ -514,3 +514,20 @@ fn golden_blade_a_60hh_uncoordinated_electrical_faults() {
     .build();
     check_golden("blade_a_60hh_uncoordinated_electrical_faults", &cfg);
 }
+
+#[test]
+fn golden_blade_a_180_apparent_util() {
+    // The Figure 9 ablation: the VMC sizes VMs by apparent utilization
+    // (share of the throttled host's capacity) instead of real. Three
+    // VMC epochs in the horizon, and 180 VMs, so pooled runs split the
+    // apparent-utilization window pass across shards.
+    let cfg = Scenario::paper(
+        SystemKind::BladeA,
+        Mix::All180,
+        CoordinationMode::CoordApparentUtil,
+    )
+    .horizon(1_600)
+    .seed(83)
+    .build();
+    check_golden("blade_a_180_apparent_util", &cfg);
+}
