@@ -134,13 +134,12 @@ pub struct Runner {
     snap_power_gm: Vec<f64>,
     snap_encpow_em: Vec<f64>,
     snap_encpow_gm: Vec<f64>,
-    // Runner-side per-VM estimate accumulators.
-    cum_real: Vec<f64>,
-    cum_apparent: Vec<f64>,
-    snap_real: Vec<f64>,
-    snap_apparent: Vec<f64>,
-    win_max_real: Vec<f64>,
-    win_max_apparent: Vec<f64>,
+    // Per-VM VMC window of the utilization the mode sizes by (real, or
+    // apparent for the Figure 9 ablation): cumulative sum, its value at
+    // the last VMC epoch, and the peak since then.
+    cum_vm_util: Vec<f64>,
+    snap_vm_util: Vec<f64>,
+    win_max_vm_util: Vec<f64>,
     // Fault injection and graceful degradation.
     injector: FaultInjector,
     fstats: FaultStats,
@@ -544,12 +543,9 @@ impl Runner {
             server_link,
             em_link,
             bus_events: Vec::new(),
-            cum_real: vec![0.0; num_vms],
-            cum_apparent: vec![0.0; num_vms],
-            snap_real: vec![0.0; num_vms],
-            snap_apparent: vec![0.0; num_vms],
-            win_max_real: vec![0.0; num_vms],
-            win_max_apparent: vec![0.0; num_vms],
+            cum_vm_util: vec![0.0; num_vms],
+            snap_vm_util: vec![0.0; num_vms],
+            win_max_vm_util: vec![0.0; num_vms],
             violations: LevelViolations::new(),
             win_sm: ViolationCounter::new(),
             win_em: ViolationCounter::new(),
@@ -1234,43 +1230,25 @@ impl Runner {
         self.latency_samples += on;
     }
 
-    /// Per-tick VMC accumulators: every VM's real and apparent
-    /// utilization folds into its cumulative sums and window maxima.
-    /// Each slot is independent (no cross-VM arithmetic), so any split of
-    /// the VM range gives the same bits; `vm_shards` is one range unless
-    /// a pool has enough VMs to share out.
+    /// Per-tick VMC accumulators: every VM's utilization, real or
+    /// apparent as the mode reads it, folds into its cumulative sum and
+    /// window maximum. Each slot is independent (no cross-VM arithmetic),
+    /// so any split of the VM range gives the same bits; `vm_shards` is
+    /// one range unless a pool has enough VMs to share out.
     fn accumulate_vm_windows(&mut self) {
         let view = self.sim.vm_view();
-        let mut cum_real = Carve::new(&mut self.cum_real);
-        let mut cum_apparent = Carve::new(&mut self.cum_apparent);
-        let mut win_real = Carve::new(&mut self.win_max_real);
-        let mut win_apparent = Carve::new(&mut self.win_max_apparent);
-        let shards = self.vm_shards.iter().map(move |r| {
-            (
-                r.start,
-                cum_real.take(r.clone()),
-                cum_apparent.take(r.clone()),
-                win_real.take(r.clone()),
-                win_apparent.take(r.clone()),
-            )
-        });
-        par::for_each_shard(self.pool.as_ref(), shards, move |sh| {
-            let (lo, cum_real, cum_apparent, win_real, win_apparent) = sh;
-            // One length for all four slices, so the loop indexes unchecked.
-            let n = cum_real.len();
-            let (cum_apparent, win_real, win_apparent) = (
-                &mut cum_apparent[..n],
-                &mut win_real[..n],
-                &mut win_apparent[..n],
-            );
-            for off in 0..n {
-                let vm = VmId(lo + off);
-                let real = view.real_vm_utilization(vm);
-                let apparent = view.apparent_vm_utilization(vm);
-                cum_real[off] += real;
-                cum_apparent[off] += apparent;
-                win_real[off] = win_real[off].max(real);
-                win_apparent[off] = win_apparent[off].max(apparent);
+        let real_mode = self.mode.vmc_uses_real_util();
+        let mut cum = Carve::new(&mut self.cum_vm_util);
+        let mut win = Carve::new(&mut self.win_max_vm_util);
+        let shards = self
+            .vm_shards
+            .iter()
+            .map(move |r| (r.start, cum.take(r.clone()), win.take(r.clone())));
+        par::for_each_shard(self.pool.as_ref(), shards, move |(lo, cum, win)| {
+            if real_mode {
+                fold_vm_window(lo, cum, win, |vm| view.real_vm_utilization(vm));
+            } else {
+                fold_vm_window(lo, cum, win, |vm| view.apparent_vm_utilization(vm));
             }
         });
     }
@@ -1351,12 +1329,9 @@ impl Runner {
             snap_power_gm_bits: pack_bits(&self.snap_power_gm),
             snap_encpow_em_bits: pack_bits(&self.snap_encpow_em),
             snap_encpow_gm_bits: pack_bits(&self.snap_encpow_gm),
-            cum_real_bits: pack_bits(&self.cum_real),
-            cum_apparent_bits: pack_bits(&self.cum_apparent),
-            snap_real_bits: pack_bits(&self.snap_real),
-            snap_apparent_bits: pack_bits(&self.snap_apparent),
-            win_max_real_bits: pack_bits(&self.win_max_real),
-            win_max_apparent_bits: pack_bits(&self.win_max_apparent),
+            cum_vm_util_bits: pack_bits(&self.cum_vm_util),
+            snap_vm_util_bits: pack_bits(&self.snap_vm_util),
+            win_max_vm_util_bits: pack_bits(&self.win_max_vm_util),
             last_util_ec_bits: pack_bits(&self.last_util_ec),
             last_power_sm_bits: pack_bits(&self.last_power_sm),
             last_encpow_em_bits: pack_bits(&self.last_encpow_em),
@@ -1403,12 +1378,9 @@ impl Runner {
             (&snap.snap_power_gm_bits, &self.snap_power_gm),
             (&snap.snap_encpow_em_bits, &self.snap_encpow_em),
             (&snap.snap_encpow_gm_bits, &self.snap_encpow_gm),
-            (&snap.cum_real_bits, &self.cum_real),
-            (&snap.cum_apparent_bits, &self.cum_apparent),
-            (&snap.snap_real_bits, &self.snap_real),
-            (&snap.snap_apparent_bits, &self.snap_apparent),
-            (&snap.win_max_real_bits, &self.win_max_real),
-            (&snap.win_max_apparent_bits, &self.win_max_apparent),
+            (&snap.cum_vm_util_bits, &self.cum_vm_util),
+            (&snap.snap_vm_util_bits, &self.snap_vm_util),
+            (&snap.win_max_vm_util_bits, &self.win_max_vm_util),
             (&snap.last_util_ec_bits, &self.last_util_ec),
             (&snap.last_power_sm_bits, &self.last_power_sm),
             (&snap.last_encpow_em_bits, &self.last_encpow_em),
@@ -1466,12 +1438,9 @@ impl Runner {
         unpack_bits(&snap.snap_power_gm_bits, &mut self.snap_power_gm);
         unpack_bits(&snap.snap_encpow_em_bits, &mut self.snap_encpow_em);
         unpack_bits(&snap.snap_encpow_gm_bits, &mut self.snap_encpow_gm);
-        unpack_bits(&snap.cum_real_bits, &mut self.cum_real);
-        unpack_bits(&snap.cum_apparent_bits, &mut self.cum_apparent);
-        unpack_bits(&snap.snap_real_bits, &mut self.snap_real);
-        unpack_bits(&snap.snap_apparent_bits, &mut self.snap_apparent);
-        unpack_bits(&snap.win_max_real_bits, &mut self.win_max_real);
-        unpack_bits(&snap.win_max_apparent_bits, &mut self.win_max_apparent);
+        unpack_bits(&snap.cum_vm_util_bits, &mut self.cum_vm_util);
+        unpack_bits(&snap.snap_vm_util_bits, &mut self.snap_vm_util);
+        unpack_bits(&snap.win_max_vm_util_bits, &mut self.win_max_vm_util);
         unpack_bits(&snap.last_util_ec_bits, &mut self.last_util_ec);
         unpack_bits(&snap.last_power_sm_bits, &mut self.last_power_sm);
         unpack_bits(&snap.last_encpow_em_bits, &mut self.last_encpow_em);
@@ -2480,43 +2449,30 @@ impl Runner {
     /// [`vmc_demand_slot`] independently, so any split of the VM range
     /// gives the same bits.
     fn vmc_demands(&mut self) {
-        let real_mode = self.mode.vmc_uses_real_util();
         let window = self.intervals.vmc.max(1) as f64;
         self.scratch_demands.clear();
-        self.scratch_demands.resize(self.cum_real.len(), 0.0);
-        let mut snap_real = Carve::new(&mut self.snap_real);
-        let mut snap_apparent = Carve::new(&mut self.snap_apparent);
-        let mut win_real = Carve::new(&mut self.win_max_real);
-        let mut win_apparent = Carve::new(&mut self.win_max_apparent);
+        self.scratch_demands.resize(self.cum_vm_util.len(), 0.0);
+        let mut snap = Carve::new(&mut self.snap_vm_util);
+        let mut win = Carve::new(&mut self.win_max_vm_util);
         let mut demands = Carve::new(&mut self.scratch_demands);
         let shards = self.vm_shards.iter().map(move |r| {
             (
                 r.start,
-                snap_real.take(r.clone()),
-                snap_apparent.take(r.clone()),
-                win_real.take(r.clone()),
-                win_apparent.take(r.clone()),
+                snap.take(r.clone()),
+                win.take(r.clone()),
                 demands.take(r.clone()),
             )
         });
-        let cum_real: &[f64] = &self.cum_real;
-        let cum_apparent: &[f64] = &self.cum_apparent;
-        par::for_each_shard(self.pool.as_ref(), shards, move |sh| {
-            let (lo, snap_real, snap_apparent, win_real, win_apparent, demands) = sh;
-            for (off, demand) in demands.iter_mut().enumerate() {
-                let j = lo + off;
-                *demand = vmc_demand_slot(
-                    real_mode,
-                    window,
-                    cum_real[j],
-                    cum_apparent[j],
-                    &mut snap_real[off],
-                    &mut snap_apparent[off],
-                    &mut win_real[off],
-                    &mut win_apparent[off],
-                );
-            }
-        });
+        let cum: &[f64] = &self.cum_vm_util;
+        par::for_each_shard(
+            self.pool.as_ref(),
+            shards,
+            move |(lo, snap, win, demands)| {
+                for (off, demand) in demands.iter_mut().enumerate() {
+                    *demand = vmc_demand_slot(window, cum[lo + off], &mut snap[off], &mut win[off]);
+                }
+            },
+        );
     }
 }
 
@@ -2645,40 +2601,29 @@ fn vm_ranges(num_vms: usize, k: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
+/// One shard's VMC windows for a tick: `util` of VM `lo + off` folds into
+/// slot `off`'s cumulative sum and window peak.
+#[inline]
+fn fold_vm_window(lo: usize, cum: &mut [f64], win_max: &mut [f64], util: impl Fn(VmId) -> f64) {
+    for (off, (cum, win_max)) in cum.iter_mut().zip(win_max).enumerate() {
+        let u = util(VmId(lo + off));
+        *cum += u;
+        *win_max = win_max.max(u);
+    }
+}
+
 /// One VM's demand estimate plus window bookkeeping for a VMC epoch: the
-/// mean/peak blend over the closing window, both snapshots advanced,
-/// both window peaks reset. Pure per-slot arithmetic, so any split of the
-/// VM range gives the same bits.
-#[allow(clippy::too_many_arguments)]
-fn vmc_demand_slot(
-    real_mode: bool,
-    window: f64,
-    cum_real: f64,
-    cum_apparent: f64,
-    snap_real: &mut f64,
-    snap_apparent: &mut f64,
-    win_max_real: &mut f64,
-    win_max_apparent: &mut f64,
-) -> f64 {
-    let (cum, snap, win_max) = if real_mode {
-        (cum_real, &mut *snap_real, *win_max_real)
-    } else {
-        (cum_apparent, &mut *snap_apparent, *win_max_apparent)
-    };
+/// mean/peak blend over the closing window, the snapshot advanced, the
+/// window peak reset. Pure per-slot arithmetic, so any split of the VM
+/// range gives the same bits.
+fn vmc_demand_slot(window: f64, cum: f64, snap: &mut f64, win_max: &mut f64) -> f64 {
     let mean = (cum - *snap) / window;
     *snap = cum;
     // Size by a mean/peak blend: a placement sized to the window mean
     // alone saturates as soon as the diurnal curve rises within the
     // next epoch.
-    let est = mean + 0.3 * (win_max - mean).max(0.0);
-    *win_max_real = 0.0;
-    *win_max_apparent = 0.0;
-    // Keep the unused snapshot current too.
-    if real_mode {
-        *snap_apparent = cum_apparent;
-    } else {
-        *snap_real = cum_real;
-    }
+    let est = mean + 0.3 * (*win_max - mean).max(0.0);
+    *win_max = 0.0;
     est.clamp(0.0, 1.0)
 }
 
@@ -2947,18 +2892,15 @@ pub struct RunnerSnapshot {
     pub snap_encpow_em_bits: Vec<u64>,
     /// GM enclosure-total window snapshots (bit words).
     pub snap_encpow_gm_bits: Vec<u64>,
-    /// Cumulative real per-VM utilization (bit words).
-    pub cum_real_bits: Vec<u64>,
-    /// Cumulative apparent per-VM utilization (bit words).
-    pub cum_apparent_bits: Vec<u64>,
-    /// VMC real-utilization window snapshots (bit words).
-    pub snap_real_bits: Vec<u64>,
-    /// VMC apparent-utilization window snapshots (bit words).
-    pub snap_apparent_bits: Vec<u64>,
-    /// Window maxima of real per-VM utilization (bit words).
-    pub win_max_real_bits: Vec<u64>,
-    /// Window maxima of apparent per-VM utilization (bit words).
-    pub win_max_apparent_bits: Vec<u64>,
+    /// Cumulative per-VM utilization the VMC sizes by: real, or
+    /// apparent under
+    /// [`CoordApparentUtil`](crate::arch::CoordinationMode::CoordApparentUtil)
+    /// (bit words).
+    pub cum_vm_util_bits: Vec<u64>,
+    /// VMC window snapshots of that sum (bit words).
+    pub snap_vm_util_bits: Vec<u64>,
+    /// Window maxima of that utilization (bit words).
+    pub win_max_vm_util_bits: Vec<u64>,
     /// Hold-last-good store: EC utilization channel (bit words).
     pub last_util_ec_bits: Vec<u64>,
     /// Hold-last-good store: SM power channel (bit words).
@@ -3009,8 +2951,11 @@ impl RunnerSnapshot {
     /// safety-invariant counter blocks, and the per-link message-loss
     /// counter layout in the injector snapshot; version 5 stores the
     /// simulator's event ring as flat `[tick, tag, args…]` words
-    /// ([`nps_sim::EventLogSnapshot`]).
-    pub const VERSION: u32 = 5;
+    /// ([`nps_sim::EventLogSnapshot`]); version 6 keeps one VMC window
+    /// per VM, of the utilization the mode reads, instead of a real and
+    /// an apparent one, and drops the simulator's cumulative granted
+    /// work, which nothing read.
+    pub const VERSION: u32 = 6;
 
     /// Writes the checkpoint to `path` as JSON, atomically: the bytes go
     /// to a sibling temp file first and are renamed into place, so a
@@ -3269,6 +3214,37 @@ mod tests {
         assert_eq!(r.comparison.power_savings_pct, 0.0);
         assert_eq!(r.comparison.perf_loss_pct, 0.0);
         assert_eq!(r.comparison.run.migrations, 0);
+    }
+    #[test]
+    fn vm_window_sums_the_utilization_the_mode_reads() {
+        for mode in [
+            CoordinationMode::Coordinated,
+            CoordinationMode::Uncoordinated,
+            CoordinationMode::CoordApparentUtil,
+        ] {
+            let cfg = Scenario::paper(SystemKind::BladeA, Mix::M60, mode)
+                .horizon(300)
+                .seed(3)
+                .build();
+            let mut runner = Runner::new(&cfg);
+            let vms = runner.sim().num_vms();
+            let (mut real, mut apparent) = (vec![0.0f64; vms], vec![0.0f64; vms]);
+            for _ in 0..300 {
+                runner.tick();
+                for j in 0..vms {
+                    real[j] += runner.sim().real_vm_utilization(VmId(j));
+                    apparent[j] += runner.sim().apparent_vm_utilization(VmId(j));
+                }
+            }
+            let (want, other) = if mode.vmc_uses_real_util() {
+                (&real, &apparent)
+            } else {
+                (&apparent, &real)
+            };
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&runner.cum_vm_util), bits(want), "{mode:?}");
+            assert_ne!(bits(want), bits(other), "{mode:?}: the signals coincide");
+        }
     }
 }
 

@@ -60,7 +60,6 @@ pub struct Simulation {
     cum_power: Vec<f64>,
     cum_enc_power: Vec<f64>,
     cum_util: Vec<f64>,
-    cum_granted: Vec<f64>,
     cum_delivered: Vec<f64>,
     cum_demand: Vec<f64>,
     // Actuation-conflict diagnosis.
@@ -152,7 +151,6 @@ impl Simulation {
             cum_power: vec![0.0; n],
             cum_enc_power: vec![0.0; num_enclosures],
             cum_util: vec![0.0; n],
-            cum_granted: vec![0.0; num_vms],
             cum_delivered: vec![0.0; num_vms],
             cum_demand: vec![0.0; num_vms],
             pstate_written_this_tick: vec![false; n],
@@ -313,7 +311,6 @@ impl Simulation {
             };
             obs.granted = granted;
             obs.delivered = granted * penalty;
-            self.cum_granted[j] += granted;
             self.cum_delivered[j] += obs.delivered;
         }
         // 4. Enclosure power (members + shared-infrastructure base).
@@ -458,11 +455,6 @@ impl Simulation {
         self.cum_demand[vm.index()]
     }
 
-    /// Cumulative work granted to `vm` before migration penalty.
-    pub fn cumulative_granted(&self, vm: VmId) -> f64 {
-        self.cum_granted[vm.index()]
-    }
-
     /// Cumulative work delivered for `vm` (after migration penalty).
     pub fn cumulative_delivered(&self, vm: VmId) -> f64 {
         self.cum_delivered[vm.index()]
@@ -483,18 +475,7 @@ impl Simulation {
     /// relative to full speed.
     #[inline]
     pub fn apparent_vm_utilization(&self, vm: VmId) -> f64 {
-        let host = self.placement.host_of(vm);
-        let cap = if self.is_on(host) {
-            self.table
-                .capacity(host.index(), self.pstate[host.index()].index())
-        } else {
-            0.0
-        };
-        if cap <= 0.0 {
-            0.0
-        } else {
-            (self.vm_obs[vm.index()].granted / cap).min(1.0)
-        }
+        self.vm_view().apparent_vm_utilization(vm)
     }
 
     /// Number of same-tick conflicting P-state writes observed so far —
@@ -741,7 +722,6 @@ impl Simulation {
             cum_power_bits: pack_bits(&self.cum_power),
             cum_enc_power_bits: pack_bits(&self.cum_enc_power),
             cum_util_bits: pack_bits(&self.cum_util),
-            cum_granted_bits: pack_bits(&self.cum_granted),
             cum_delivered_bits: pack_bits(&self.cum_delivered),
             cum_demand_bits: pack_bits(&self.cum_demand),
             pstate_written_this_tick: self.pstate_written_this_tick.clone(),
@@ -781,7 +761,6 @@ impl Simulation {
                 self.topo.num_enclosures(),
             ),
             ("cum_util_bits", snap.cum_util_bits.len(), servers),
-            ("cum_granted_bits", snap.cum_granted_bits.len(), vms),
             ("cum_delivered_bits", snap.cum_delivered_bits.len(), vms),
             ("cum_demand_bits", snap.cum_demand_bits.len(), vms),
             (
@@ -869,7 +848,6 @@ impl Simulation {
         self.cum_power = unpack_bits(&snap.cum_power_bits);
         self.cum_enc_power = unpack_bits(&snap.cum_enc_power_bits);
         self.cum_util = unpack_bits(&snap.cum_util_bits);
-        self.cum_granted = unpack_bits(&snap.cum_granted_bits);
         self.cum_delivered = unpack_bits(&snap.cum_delivered_bits);
         self.cum_demand = unpack_bits(&snap.cum_demand_bits);
         self.pstate_written_this_tick = snap.pstate_written_this_tick.clone();
@@ -1097,8 +1075,6 @@ pub struct SimSnapshot {
     pub cum_enc_power_bits: Vec<u64>,
     /// Cumulative utilization, bit-packed.
     pub cum_util_bits: Vec<u64>,
-    /// Cumulative granted work, bit-packed.
-    pub cum_granted_bits: Vec<u64>,
     /// Cumulative delivered work, bit-packed.
     pub cum_delivered_bits: Vec<u64>,
     /// Cumulative demand, bit-packed.

@@ -556,8 +556,11 @@ fn fnv1a(text: &str) -> u64 {
 fn checkpoint_text_is_pinned() {
     // The JSON a fixed run's checkpoint is written as, hashed when the
     // writer still formatted every number through `Display`: a change
-    // to the writer must not move a single byte.
-    const PINNED: u64 = 0x7885_ed11_afe1_c41c;
+    // to the writer must not move a single byte. Re-pinned for format
+    // v6, whose text is v5's with the apparent-utilization window and
+    // the simulator's granted-work sums removed, the real-utilization
+    // window renamed and the version word changed.
+    const PINNED: u64 = 0x462f_c3e7_c2b1_b53b;
     let mut runner = Runner::new(&stressed_config());
     for _ in 0..150 {
         runner.tick();
@@ -583,34 +586,93 @@ fn load_reports_an_older_format_version_before_mapping_fields() {
     for _ in 0..30 {
         runner.tick();
     }
-    let path = std::env::temp_dir().join(format!("nps-checkpoint-v4-{}.json", std::process::id()));
+    let path = std::env::temp_dir().join(format!("nps-checkpoint-old-{}.json", std::process::id()));
     runner.snapshot().save(&path).expect("saves");
     assert_eq!(
         RunnerSnapshot::load(&path).expect("loads"),
         runner.snapshot()
     );
 
-    // A version-4 file: older version word, and an event ring in the old
-    // nested layout that the current field mapping cannot read.
+    // A version-5 file: older version word, and the VMC window under its
+    // real-utilization names (v5 kept a real and an apparent one). A
+    // version-4 file also has the event ring in the old nested layout.
+    // The current field mapping reads neither.
     let current = format!("\"version\":{}", RunnerSnapshot::VERSION);
     let text = std::fs::read_to_string(&path).expect("reads");
     assert!(text.starts_with(&format!("{{{current},")));
-    let v4 = text
-        .replacen(&current, "\"version\":4", 1)
-        .replacen("\"words\":[", "\"ring\":[", 1);
-    std::fs::write(&path, v4).expect("writes");
-    let err = RunnerSnapshot::load(&path).expect_err("version 4 is refused");
+    let v5 = text
+        .replacen(&current, "\"version\":5", 1)
+        .replacen("\"cum_vm_util_bits\":", "\"cum_real_bits\":", 1)
+        .replacen("\"snap_vm_util_bits\":", "\"snap_real_bits\":", 1)
+        .replacen("\"win_max_vm_util_bits\":", "\"win_max_real_bits\":", 1);
+    let v4 =
+        v5.replacen("\"version\":5", "\"version\":4", 1)
+            .replacen("\"words\":[", "\"ring\":[", 1);
+    for (version, old) in [(5, v5), (4, v4)] {
+        assert!(
+            serde_json::from_str::<RunnerSnapshot>(&old).is_err(),
+            "a version-{version} layout must not map onto the current fields"
+        );
+        std::fs::write(&path, old).expect("writes");
+        let err = RunnerSnapshot::load(&path).expect_err("an older version is refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let core = err
+            .get_ref()
+            .and_then(|e| e.downcast_ref::<no_power_struggles::core::CoreError>())
+            .expect("a typed checkpoint error");
+        let want = format!(
+            "format version {version} (this build reads {})",
+            RunnerSnapshot::VERSION
+        );
+        assert!(
+            matches!(core, no_power_struggles::core::CoreError::Checkpoint(why) if why == &want),
+            "unexpected error: {core}"
+        );
+    }
     std::fs::remove_file(&path).ok();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    let core = err
-        .get_ref()
-        .and_then(|e| e.downcast_ref::<no_power_struggles::core::CoreError>())
-        .expect("a typed checkpoint error");
+}
+
+/// The Figure 9 ablation: the VMC windows apparent utilization. A tight
+/// VMC period puts two epochs before the split, so the checkpoint holds
+/// advanced window snapshots and live window peaks.
+#[test]
+fn mid_vmc_window_checkpoint_in_apparent_util_mode_resumes_bit_exact() {
+    let cfg = Scenario::paper(
+        SystemKind::BladeA,
+        Mix::M60,
+        CoordinationMode::CoordApparentUtil,
+    )
+    .intervals(Intervals {
+        ec: 1,
+        sm: 5,
+        em: 10,
+        gm: 20,
+        vmc: 60,
+    })
+    .horizon(HORIZON)
+    .seed(31)
+    .build();
+    let (base_stats, base_snap) = run_uninterrupted(&cfg);
+
+    let mut first = Runner::new(&cfg);
+    while first.ticks_done() < 150 {
+        first.tick();
+    }
+    let text = state_json(&mut first);
+    let mid: RunnerSnapshot = serde_json::from_str(&text).expect("parses");
     assert!(
-        matches!(core, no_power_struggles::core::CoreError::Checkpoint(why)
-            if why == &format!("format version 4 (this build reads {})", RunnerSnapshot::VERSION)),
-        "unexpected error: {core}"
+        mid.snap_vm_util_bits.iter().any(|&b| b != 0),
+        "split must follow a VMC epoch"
     );
+    assert!(
+        mid.win_max_vm_util_bits.iter().any(|&b| b != 0),
+        "split must fall inside a VMC window"
+    );
+    drop(first);
+    let mut resumed = Runner::resume(&cfg, &mid).expect("checkpoint restores");
+    assert_eq!(state_json(&mut resumed), text);
+    assert_eq!(resumed.run_to_horizon(), base_stats);
+    assert_eq!(resumed.snapshot(), base_snap);
 }
 
 #[test]
