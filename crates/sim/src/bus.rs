@@ -937,8 +937,9 @@ impl ControlBus {
     }
 
     /// Checks that `snap` has this bus's shape: exactly four PRNG state
-    /// words, one link entry per registered link, and every in-flight
-    /// message on a registered link. [`ControlBus::restore`] takes the
+    /// words, one link entry per registered link, every in-flight
+    /// message on a registered link, and no queued ack on a bus without
+    /// retries (which never sends one). [`ControlBus::restore`] takes the
     /// link list wholesale and indexes links by the queued entries, so a
     /// caller restoring untrusted state checks this first; otherwise a
     /// short RNG array keeps part of the stale state and a bad link
@@ -963,6 +964,14 @@ impl ControlBus {
                 m.uid, m.link
             ));
         }
+        if !self.cfg.retry.enabled() {
+            if let Some(m) = snap.queue.iter().find(|m| m.is_ack) {
+                return Err(format!(
+                    "in-flight ack uid {} on a bus without retries",
+                    m.uid
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -970,8 +979,7 @@ impl ControlBus {
     /// have the same links registered (same topology/config; see
     /// [`ControlBus::fits`]). The retry timer heap is rebuilt from the
     /// live pending grants (one entry each — stale entries never reach a
-    /// checkpoint). Acks queued by an older build on a retry-less bus
-    /// restore as no-ops: they find no pending grant to clear.
+    /// checkpoint).
     pub fn restore(&mut self, snap: &BusSnapshot) {
         let mut rng_state = [0u64; 4];
         for (slot, &word) in rng_state.iter_mut().zip(snap.rng.iter()) {
@@ -1275,29 +1283,30 @@ mod tests {
     }
 
     #[test]
-    fn queued_acks_from_older_checkpoints_restore_as_no_ops() {
-        // A retry-less bus used to enqueue an ack per delivery; a
-        // checkpoint taken while one was in flight must still restore,
-        // and the ack must neither fail nor emit anything when it lands.
-        let cfg = BusConfig::default().with_delay(2, 0);
-        let mut old = ControlBus::new(&cfg);
-        let link = old.register_link();
-        old.send(link, 60.0, 0, false);
-        assert_eq!(deliveries(&old.poll(2)), vec![(0, 1, 60.0)]);
-        old.enqueue(4, link.0, MsgKind::Ack, 1, 0.0);
-        let snap = old.snapshot();
+    fn queued_acks_are_rejected_on_a_bus_without_retries() {
+        // A retry-less bus never sends an ack, so a checkpoint with one
+        // in flight is not this bus's state; with retries the same queue
+        // fits.
+        let retrying = BusConfig::default()
+            .with_delay(2, 0)
+            .with_retry(RetryConfig {
+                max_attempts: 2,
+                ..RetryConfig::default()
+            });
+        let mut source = ControlBus::new(&retrying);
+        let link = source.register_link();
+        source.send(link, 60.0, 0, false);
+        assert_eq!(deliveries(&source.poll(2)), vec![(0, 1, 60.0)]);
+        let snap = source.snapshot();
         assert!(snap.queue.iter().any(|m| m.is_ack));
 
-        let mut resumed = ControlBus::new(&cfg);
-        resumed.register_link();
-        resumed.fits(&snap).expect("legacy snapshot fits");
-        resumed.restore(&snap);
-        assert!(!resumed.is_idle());
-        for t in 3..6 {
-            assert!(resumed.poll(t).is_empty());
-        }
-        assert!(resumed.is_idle());
-        assert_eq!(resumed.accepted_seq(link), 1);
+        let mut same = ControlBus::new(&retrying);
+        same.register_link();
+        same.fits(&snap).expect("a retrying bus queues acks");
+        let mut plain = ControlBus::new(&BusConfig::default().with_delay(2, 0));
+        plain.register_link();
+        let err = plain.fits(&snap).expect_err("no acks without retries");
+        assert!(err.contains("ack"), "{err}");
     }
 
     #[test]

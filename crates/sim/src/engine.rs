@@ -515,13 +515,7 @@ impl Simulation {
     /// Whether `s` is powered on and has not tripped thermal failover.
     #[inline]
     pub fn is_on(&self, s: ServerId) -> bool {
-        let i = s.index();
-        self.on[i]
-            && self
-                .thermal
-                .as_ref()
-                .map(|t| !t.is_failed(i))
-                .unwrap_or(true)
+        powered(&self.on, self.thermal.as_ref(), s.index())
     }
 
     /// Powers `s` off. Fails if VMs are still placed on it — the VMC must
@@ -859,6 +853,13 @@ impl Simulation {
     }
 }
 
+/// The one "powered on and not thermally failed" test behind
+/// [`Simulation::is_on`] and both epoch views.
+#[inline]
+fn powered(on: &[bool], thermal: Option<&ThermalState>, i: usize) -> bool {
+    on[i] && thermal.map(|t| !t.is_failed(i)).unwrap_or(true)
+}
+
 /// Read-only facts shared with every worker during a parallel
 /// controller epoch. Borrowed from the simulator by
 /// [`Simulation::epoch_shards`]; all slices are indexed by global
@@ -878,8 +879,7 @@ impl SimEpochView<'_> {
     /// Same as [`Simulation::is_on`].
     #[inline]
     pub fn is_on(&self, s: ServerId) -> bool {
-        let i = s.index();
-        self.on[i] && self.thermal.map(|t| !t.is_failed(i)).unwrap_or(true)
+        powered(self.on, self.thermal, s.index())
     }
 
     /// Same as [`Simulation::server_utilization`].
@@ -938,8 +938,7 @@ impl VmView<'_> {
     pub fn apparent_vm_utilization(&self, vm: VmId) -> f64 {
         let host = self.placement.host_of(vm);
         let i = host.index();
-        let host_on = self.on[i] && self.thermal.map(|t| !t.is_failed(i)).unwrap_or(true);
-        let cap = if host_on {
+        let cap = if powered(self.on, self.thermal, i) {
             self.table.capacity(i, self.pstate[i].index())
         } else {
             0.0

@@ -134,10 +134,11 @@ proptest! {
             let snap = runner.snapshot();
             let now = runner.ticks_done();
             for (i, (&cap, &until)) in snap
+                .ecsm
                 .bank
                 .granted_cap_bits
                 .iter()
-                .zip(&snap.bank.lease_until)
+                .zip(&snap.ecsm.bank.lease_until)
                 .enumerate()
             {
                 if until == u64::MAX {
@@ -153,7 +154,7 @@ proptest! {
                     );
                 }
             }
-            for (e, em) in snap.ems.iter().enumerate() {
+            for (e, em) in snap.managers.ems.iter().enumerate() {
                 if em.lease_until == u64::MAX {
                     prop_assert_eq!(
                         em.granted_cap_bits, inf,
@@ -244,7 +245,7 @@ proptest! {
             .map(|s| s.index())
             .collect();
         let snap = probe.snapshot();
-        for (i, &until) in snap.bank.lease_until.iter().enumerate() {
+        for (i, &until) in snap.ecsm.bank.lease_until.iter().enumerate() {
             if standalone.contains(&i) {
                 continue;
             }

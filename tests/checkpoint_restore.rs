@@ -169,11 +169,11 @@ fn mid_gm_window_checkpoint_is_thread_count_agnostic() {
     }
     let mid = first.snapshot();
     assert!(
-        !mid.bus.queue.is_empty(),
+        !mid.plane.bus.queue.is_empty(),
         "split must catch grant copies in the in-flight heap"
     );
     assert!(
-        mid.bus.links.iter().any(|l| l.pending.is_some()),
+        mid.plane.bus.links.iter().any(|l| l.pending.is_some()),
         "split must catch an armed retransmission timer"
     );
     assert!(
@@ -348,12 +348,17 @@ fn truncated_state_arrays_are_rejected_without_touching_the_runner() {
     }
     let good = source.snapshot();
     type Truncate = fn(&mut RunnerSnapshot);
-    let cuts: [(&str, Truncate); 6] = [
-        ("snap_power_sm_bits", |s| {
-            s.snap_power_sm_bits.pop();
+    // One cut per layer state with arrays (the safety layer keeps only
+    // counters), plus the bank and injector arrays each layer nests.
+    let cuts: [(&str, Truncate); 10] = [
+        ("ecsm.windows.snap_power_sm", |s| {
+            s.ecsm.windows.snap_power_sm.pop();
         }),
-        ("bank.freq_hz_bits", |s| {
-            s.bank.freq_hz_bits.pop();
+        ("ecsm.windows.sm_hold", |s| {
+            s.ecsm.windows.sm_hold.pop();
+        }),
+        ("ecsm.bank.freq_hz_bits", |s| {
+            s.ecsm.bank.freq_hz_bits.pop();
         }),
         ("injector.actuator_ctr", |s| {
             s.injector.actuator_ctr.pop();
@@ -361,11 +366,20 @@ fn truncated_state_arrays_are_rejected_without_touching_the_runner() {
         ("injector.sensor_stuck_val_bits", |s| {
             s.injector.sensor_stuck_val_bits.pop();
         }),
-        ("last_child_gm_bits", |s| {
-            s.last_child_gm_bits.pop();
+        ("managers.windows.last_child_gm", |s| {
+            s.managers.windows.last_child_gm.pop();
         }),
-        ("vmc_buffer_bits", |s| {
-            s.vmc_buffer_bits.pop();
+        ("managers.windows.snap_power", |s| {
+            s.managers.windows.snap_power.pop();
+        }),
+        ("vmc.buffer_bits", |s| {
+            s.vmc.buffer_bits.pop();
+        }),
+        ("vmc.windows.win_max_vm_util", |s| {
+            s.vmc.windows.win_max_vm_util.pop();
+        }),
+        ("plane.bus.links", |s| {
+            s.plane.bus.links.pop();
         }),
     ];
 
@@ -408,20 +422,20 @@ fn misshapen_bus_state_is_rejected_without_touching_the_runner() {
     let good = source.snapshot();
     type Edit = fn(&mut RunnerSnapshot);
     let edits: [(&str, Edit); 5] = [
-        ("bus.rng short", |s| {
-            s.bus.rng.pop();
+        ("plane.bus.rng short", |s| {
+            s.plane.bus.rng.pop();
         }),
-        ("bus.rng long", |s| s.bus.rng.push(7)),
-        ("bus.links short", |s| {
-            s.bus.links.pop();
+        ("plane.bus.rng long", |s| s.plane.bus.rng.push(7)),
+        ("plane.bus.links short", |s| {
+            s.plane.bus.links.pop();
         }),
-        ("bus.links long", |s| {
-            let extra = s.bus.links[0].clone();
-            s.bus.links.push(extra);
+        ("plane.bus.links long", |s| {
+            let extra = s.plane.bus.links[0].clone();
+            s.plane.bus.links.push(extra);
         }),
-        ("bus.queue link out of range", |s| {
-            let links = s.bus.links.len();
-            s.bus.queue.push(InFlightSnapshot {
+        ("plane.bus.queue link out of range", |s| {
+            let links = s.plane.bus.links.len();
+            s.plane.bus.queue.push(InFlightSnapshot {
                 deliver_at: u64::MAX,
                 uid: u64::MAX,
                 link: links,
@@ -514,8 +528,12 @@ fn misshapen_simulator_and_capper_state_is_rejected_without_touching_the_runner(
         ("sim.util_bits short", |s| {
             s.sim.util_bits.pop();
         }),
-        ("gm.policy_state", |s| s.gm.policy_state.push(1)),
-        ("ems[0].policy_state", |s| s.ems[0].policy_state.push(1)),
+        ("managers.gm.policy_state", |s| {
+            s.managers.gm.policy_state.push(1)
+        }),
+        ("managers.ems[0].policy_state", |s| {
+            s.managers.ems[0].policy_state.push(1)
+        }),
     ];
 
     let mut target = Runner::new(&cfg);
@@ -557,10 +575,11 @@ fn checkpoint_text_is_pinned() {
     // The JSON a fixed run's checkpoint is written as, hashed when the
     // writer still formatted every number through `Display`: a change
     // to the writer must not move a single byte. Re-pinned for format
-    // v6, whose text is v5's with the apparent-utilization window and
-    // the simulator's granted-work sums removed, the real-utilization
-    // window renamed and the version word changed.
-    const PINNED: u64 = 0x462f_c3e7_c2b1_b53b;
+    // v7, whose text carries every word of v6's, nested under the layer
+    // keys, with the EM and GM per-server power windows merged into one
+    // (members' EM words, standalone servers' GM words) and the version
+    // word changed.
+    const PINNED: u64 = 0x5e58_377c_1bd0_c695;
     let mut runner = Runner::new(&stressed_config());
     for _ in 0..150 {
         runner.tick();
@@ -579,6 +598,31 @@ fn checkpoint_text_is_pinned() {
     );
 }
 
+/// `text` with the first `"key":{...}` member replaced by the members
+/// inside its braces (JSON strings skipped while matching them).
+fn hoist(text: &str, key: &str) -> String {
+    let open = format!("\"{key}\":{{");
+    let start = text.find(&open).expect("key present");
+    let body = start + open.len();
+    let (mut depth, mut in_str, mut escaped) = (1, false, false);
+    let mut end = body;
+    for (i, c) in text[body..].char_indices() {
+        match (in_str, escaped, c) {
+            (true, true, _) => escaped = false,
+            (true, false, '\\') => escaped = true,
+            (_, _, '"') => in_str = !in_str,
+            (false, _, '{') => depth += 1,
+            (false, _, '}') => depth -= 1,
+            _ => {}
+        }
+        if depth == 0 {
+            end = body + i;
+            break;
+        }
+    }
+    format!("{}{}{}", &text[..start], &text[body..end], &text[end + 1..])
+}
+
 #[test]
 fn load_reports_an_older_format_version_before_mapping_fields() {
     let cfg = stressed_config();
@@ -593,22 +637,50 @@ fn load_reports_an_older_format_version_before_mapping_fields() {
         runner.snapshot()
     );
 
-    // A version-5 file: older version word, and the VMC window under its
-    // real-utilization names (v5 kept a real and an apparent one). A
-    // version-4 file also has the event ring in the old nested layout.
-    // The current field mapping reads neither.
+    // A version-6 file: older version word, and the flat layout — every
+    // layer's fields at the top level, float arrays named `*_bits`. A
+    // version-5 file also has the VMC window under its real-utilization
+    // names (v5 kept a real and an apparent one), and a version-4 file
+    // the event ring in the old nested layout. The current field mapping
+    // reads none of them.
     let current = format!("\"version\":{}", RunnerSnapshot::VERSION);
     let text = std::fs::read_to_string(&path).expect("reads");
     assert!(text.starts_with(&format!("{{{current},")));
-    let v5 = text
-        .replacen(&current, "\"version\":5", 1)
+    let mut v6 = text.replacen(&current, "\"version\":6", 1);
+    for key in ["ecsm", "managers", "vmc", "plane", "safety", "replicas"] {
+        v6 = hoist(&v6, key);
+    }
+    while v6.contains("\"windows\":{") {
+        v6 = hoist(&v6, "windows");
+    }
+    v6 = v6.replacen("\"buffer_bits\":", "\"vmc_buffer_bits\":", 1);
+    for (name, old) in [("snap_power", "snap_power_em")].into_iter().chain(
+        [
+            "snap_util_ec",
+            "snap_power_sm",
+            "snap_encpow_em",
+            "snap_encpow_gm",
+            "cum_vm_util",
+            "snap_vm_util",
+            "win_max_vm_util",
+            "last_util_ec",
+            "last_power_sm",
+            "last_encpow_em",
+            "last_child_gm",
+        ]
+        .map(|n| (n, n)),
+    ) {
+        v6 = v6.replacen(&format!("\"{name}\":"), &format!("\"{old}_bits\":"), 1);
+    }
+    let v5 = v6
+        .replacen("\"version\":6", "\"version\":5", 1)
         .replacen("\"cum_vm_util_bits\":", "\"cum_real_bits\":", 1)
         .replacen("\"snap_vm_util_bits\":", "\"snap_real_bits\":", 1)
         .replacen("\"win_max_vm_util_bits\":", "\"win_max_real_bits\":", 1);
     let v4 =
         v5.replacen("\"version\":5", "\"version\":4", 1)
             .replacen("\"words\":[", "\"ring\":[", 1);
-    for (version, old) in [(5, v5), (4, v4)] {
+    for (version, old) in [(6, v6), (5, v5), (4, v4)] {
         assert!(
             serde_json::from_str::<RunnerSnapshot>(&old).is_err(),
             "a version-{version} layout must not map onto the current fields"
@@ -661,11 +733,11 @@ fn mid_vmc_window_checkpoint_in_apparent_util_mode_resumes_bit_exact() {
     let text = state_json(&mut first);
     let mid: RunnerSnapshot = serde_json::from_str(&text).expect("parses");
     assert!(
-        mid.snap_vm_util_bits.iter().any(|&b| b != 0),
+        mid.vmc.windows.snap_vm_util.iter().any(|&v| v != 0.0),
         "split must follow a VMC epoch"
     );
     assert!(
-        mid.win_max_vm_util_bits.iter().any(|&b| b != 0),
+        mid.vmc.windows.win_max_vm_util.iter().any(|&v| v != 0.0),
         "split must fall inside a VMC window"
     );
     drop(first);

@@ -231,7 +231,9 @@ fn snapshots_capture_replica_state_mid_outage() {
     }
     let mid = first.snapshot();
     assert!(
-        mid.gm_replica
+        mid.plane
+            .replicas
+            .gm_replica
             .as_ref()
             .expect("replica in snapshot")
             .promoted,

@@ -168,21 +168,20 @@ fn tick_zero_dropped_sample_degrades_to_idle_power_not_zero() {
     let snap = runner.snapshot();
     let idle = ServerModel::blade_a().idle_power(0);
     assert!(idle > 0.0, "blade A idles above zero watts");
-    for &bits in &snap.last_power_sm_bits {
-        let w = f64::from_bits(bits);
+    for &w in snap.ecsm.windows.last_power_sm.iter() {
         assert!(
             w >= idle,
             "per-server last-good power seeded at {w} W, below idle {idle} W"
         );
     }
-    for &bits in &snap
-        .last_encpow_em_bits
+    let managers = &snap.managers.windows;
+    for &w in managers
+        .last_encpow_em
         .iter()
-        .chain(&snap.last_child_gm_bits)
-        .collect::<Vec<_>>()
+        .chain(managers.last_child_gm.iter())
     {
         assert!(
-            f64::from_bits(*bits) > 0.0,
+            w > 0.0,
             "enclosure/group last-good stores must not start at 0.0"
         );
     }
@@ -194,9 +193,9 @@ fn tick_zero_dropped_sample_degrades_to_idle_power_not_zero() {
     assert!(faults.sensor_dropped > 0);
     assert!(stats.energy.is_finite() && stats.energy > 0.0);
     let snap = runner.snapshot();
-    for &bits in &snap.last_power_sm_bits {
+    for &w in snap.ecsm.windows.last_power_sm.iter() {
         assert!(
-            f64::from_bits(bits) >= idle,
+            w >= idle,
             "dropped samples must degrade to the idle seed, not decay to 0.0"
         );
     }

@@ -229,8 +229,8 @@ fn monitor_does_not_perturb_the_trajectory() {
     let mut snap_off = r_off.snapshot();
     let mut snap_on = r_on.snapshot();
     // Only the audit counters may differ between the two checkpoints.
-    snap_off.istats = InvariantStats::default();
-    snap_on.istats = InvariantStats::default();
+    snap_off.safety.istats = InvariantStats::default();
+    snap_on.safety.istats = InvariantStats::default();
     let off = serde_json::to_string(&snap_off).expect("snapshot serializes");
     let on = serde_json::to_string(&snap_on).expect("snapshot serializes");
     assert_eq!(off, on, "monitor perturbed the checkpoint");
