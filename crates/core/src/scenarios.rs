@@ -11,6 +11,11 @@ use crate::budgets::BudgetSpec;
 use crate::config::{ExperimentConfig, PolicyKind};
 use crate::intervals::Intervals;
 
+/// Shortest trace a scenario generates: traces are `max(horizon, this)`
+/// ticks long. It does not set the workloads' day length; every class
+/// spec keeps its own 2000-tick diurnal period.
+const MIN_TRACE_LEN: usize = 1_000;
+
 /// The two reference systems of the paper's evaluation (§4.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SystemKind {
@@ -69,10 +74,6 @@ pub struct Scenario {
     sim: SimConfig,
     horizon: u64,
     seed: u64,
-    /// Minimum trace length in ticks: traces are `max(horizon, this)`
-    /// long. It does not set the workloads' day length; every class spec
-    /// keeps its own 2000-tick diurnal period.
-    diurnal_period: usize,
     pstate_subset: Option<Vec<usize>>,
     electrical_cap_frac: Option<f64>,
     idle_scale: Option<f64>,
@@ -108,7 +109,6 @@ impl Scenario {
             sim: SimConfig::default(),
             horizon: 4_000,
             seed: 42,
-            diurnal_period: 1_000,
             pstate_subset: None,
             electrical_cap_frac: None,
             idle_scale: None,
@@ -326,15 +326,13 @@ impl Scenario {
         } else {
             None
         };
+        // Generating at least the horizon keeps runs free of wrap
+        // artifacts (traces wrap cyclically).
+        let len = (self.horizon as usize).max(MIN_TRACE_LEN);
         let traces = if self.topology_override.is_some() {
-            build_scale_traces(
-                topology.num_servers(),
-                self.horizon,
-                self.seed,
-                self.diurnal_period,
-            )
+            build_scale_traces(topology.num_servers(), len, self.seed)
         } else {
-            build_mix_traces(self.mix, self.horizon, self.seed, self.diurnal_period)
+            build_mix_traces(self.mix, len, self.seed)
         };
         let label = format!(
             "{}{}/{} {} [{}]{}{}",
@@ -376,10 +374,10 @@ impl Scenario {
     }
 }
 
-/// Generates exactly `n` enterprise workloads by cycling the nine site
-/// profiles — the corpus for arbitrary-size (multi-rack) topologies.
-fn build_scale_traces(n: usize, horizon: u64, seed: u64, diurnal_period: usize) -> Vec<UtilTrace> {
-    let len = (horizon as usize).max(diurnal_period);
+/// Generates exactly `n` enterprise workloads of `len` ticks by cycling
+/// the nine site profiles — the corpus for arbitrary-size (multi-rack)
+/// topologies.
+fn build_scale_traces(n: usize, len: usize, seed: u64) -> Vec<UtilTrace> {
     let profiles = EnterpriseProfile::default_sites();
     let per_site = n.div_ceil(profiles.len()).max(1);
     let mut traces = Corpus::from_profiles(&profiles, per_site, len, seed).into_traces();
@@ -387,14 +385,9 @@ fn build_scale_traces(n: usize, horizon: u64, seed: u64, diurnal_period: usize) 
     traces
 }
 
-/// Generates the enterprise corpus sized for the run and selects a mix.
-fn build_mix_traces(mix: Mix, horizon: u64, seed: u64, diurnal_period: usize) -> Vec<UtilTrace> {
-    // Trace length: `max(horizon, diurnal_period)`. Generating at least
-    // the horizon keeps runs free of wrap artifacts (traces wrap
-    // cyclically); shorter runs still get `diurnal_period` ticks.
-    let len = (horizon as usize).max(diurnal_period);
-    let corpus = Corpus::enterprise(len, seed);
-    corpus
+/// Generates the enterprise corpus at `len` ticks and selects a mix.
+fn build_mix_traces(mix: Mix, len: usize, seed: u64) -> Vec<UtilTrace> {
+    Corpus::enterprise(len, seed)
         .mix(mix)
         .expect("enterprise corpus supports all mixes")
 }

@@ -315,8 +315,8 @@ impl TopologyBuilder {
 
     /// Adds `count` enclosures of `blades` servers each.
     pub fn enclosures(mut self, count: usize, blades: usize) -> Self {
-        self.enclosure_sizes
-            .extend(std::iter::repeat_n(blades, count));
+        let len = self.enclosure_sizes.len() + count;
+        self.enclosure_sizes.resize(len, blades);
         self.push_loose(count);
         self
     }
@@ -330,8 +330,8 @@ impl TopologyBuilder {
 
     /// Adds one rack of `enclosures` enclosures with `blades` servers each.
     pub fn rack(mut self, enclosures: usize, blades: usize) -> Self {
-        self.enclosure_sizes
-            .extend(std::iter::repeat_n(blades, enclosures));
+        let len = self.enclosure_sizes.len() + enclosures;
+        self.enclosure_sizes.resize(len, blades);
         self.rack_spans.push((enclosures, true));
         self
     }
@@ -376,12 +376,12 @@ impl TopologyBuilder {
         let mut next = 0usize;
         for (e, &size) in self.enclosure_sizes.iter().enumerate() {
             enclosure_flat.extend((next..next + size).map(ServerId));
-            server_enclosure.extend(std::iter::repeat_n(Some(EnclosureId(e)), size));
+            server_enclosure.resize(server_enclosure.len() + size, Some(EnclosureId(e)));
             next += size;
             enclosure_offsets.push(enclosure_flat.len());
         }
         let standalone: Vec<ServerId> = (next..next + self.standalone).map(ServerId).collect();
-        server_enclosure.extend(std::iter::repeat_n(None, self.standalone));
+        server_enclosure.resize(total, None);
         // Empty spans can arise from `rack(0, _)` / `enclosures(0, _)`;
         // drop them so every rack is non-empty.
         let mut rack_offsets = Vec::with_capacity(self.rack_spans.len() + 1);

@@ -1,11 +1,14 @@
 //! The 180-trace enterprise corpus (9 sites × 20 servers).
 
+use std::num::NonZeroUsize;
+use std::sync::{Arc, Mutex};
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::mix::Mix;
-use crate::synth::{generate_on, Calendar, WorkloadClass};
+use crate::synth::{fill_on, zeroed, Calendar, TraceSpec, WorkloadClass};
 use crate::trace::UtilTrace;
 use crate::Result;
 
@@ -102,38 +105,83 @@ impl Corpus {
     /// Generates a corpus from custom site profiles with
     /// `servers_per_site` servers each.
     ///
-    /// Every trace of one diurnal period shares one calendar (the
-    /// per-tick day angle and weekly sine), rebuilt only when a spec's
-    /// period differs from the last one and dropped once the corpus is
-    /// built.
+    /// Each site draws from its own RNG, seeded from `seed` and the site's
+    /// index, so the sites are built in parallel on as many threads as
+    /// the process may use (at most one per site); the output is the same
+    /// bits at any thread count. Every trace of one diurnal period shares
+    /// one calendar (the per-tick day angle and weekly sine), dropped once
+    /// the corpus is built.
     pub fn from_profiles(
         profiles: &[EnterpriseProfile],
         servers_per_site: usize,
         len: usize,
         seed: u64,
     ) -> Self {
-        let mut traces = Vec::with_capacity(profiles.len() * servers_per_site);
-        let mut calendar: Option<Calendar> = None;
+        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        Self::synthesize(profiles, servers_per_site, len, seed, workers)
+    }
+
+    /// [`Corpus::from_profiles`] on the calling thread plus up to
+    /// `workers - 1` scoped threads, which claim whole sites from a shared
+    /// cursor; a site's traces are built in order from its one RNG stream.
+    ///
+    /// Every allocation that outlives the build (the calendars, each
+    /// trace's name and zero-filled buffer, the per-site vectors) is made
+    /// here, before any worker starts: a worker only fills buffers in
+    /// place. Buffers allocated on a worker would land in that thread's
+    /// malloc arena and raise the process's peak RSS.
+    pub(crate) fn synthesize(
+        profiles: &[EnterpriseProfile],
+        servers_per_site: usize,
+        len: usize,
+        seed: u64,
+        workers: usize,
+    ) -> Self {
+        let mut calendars: Vec<Calendar> = Vec::new();
+        let mut sites: Vec<Site> = Vec::with_capacity(profiles.len());
         for (si, site) in profiles.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(
-                seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(si as u64 + 1)),
-            );
+            let mut slots = Vec::with_capacity(servers_per_site);
             for server in 0..servers_per_site {
                 let class = site.classes[server % site.classes.len()];
                 let mut spec = class.spec();
                 spec.mean_util = (spec.mean_util * site.util_scale).clamp(0.02, 0.95);
-                // Per-server phase jitter and mild mean jitter so servers at
-                // one site are correlated but not identical.
-                spec.phase += rng.gen_range(-0.5..0.5);
-                spec.mean_util = (spec.mean_util * rng.gen_range(0.85..1.15)).clamp(0.02, 0.95);
-                let name = format!("{}/{:?}-{:02}", site.name, class, server);
-                let period = spec.diurnal_period;
-                if calendar.as_ref().map(Calendar::period) != Some(period) {
-                    calendar = Some(Calendar::new(period, len));
+                if !calendars.iter().any(|c| c.period() == spec.diurnal_period) {
+                    calendars.push(Calendar::new(spec.diurnal_period, len));
                 }
-                let calendar = calendar.as_ref().expect("calendar built above");
-                traces.push(generate_on(name, &spec, calendar, &mut rng));
+                slots.push(Slot {
+                    name: format!("{}/{:?}-{:02}", site.name, class, server),
+                    spec,
+                    samples: zeroed(len.max(1)),
+                });
             }
+            sites.push(Site {
+                seed: seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(si as u64 + 1)),
+                slots,
+                traces: Vec::with_capacity(servers_per_site),
+            });
+        }
+        let queue = Mutex::new(sites.iter_mut());
+        let next = || {
+            queue
+                .lock()
+                .expect("no worker panics holding the queue")
+                .next()
+        };
+        let calendars = &calendars;
+        let work = || {
+            while let Some(site) = next() {
+                site.synthesize(calendars);
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..workers.min(profiles.len()) {
+                scope.spawn(work);
+            }
+            work();
+        });
+        let mut traces = Vec::with_capacity(profiles.len() * servers_per_site);
+        for site in sites {
+            traces.extend(site.traces);
         }
         Self { traces }
     }
@@ -183,6 +231,50 @@ impl Corpus {
             return 0.0;
         }
         self.traces.iter().map(|t| t.mean()).sum::<f64>() / self.traces.len() as f64
+    }
+}
+
+/// One trace awaiting synthesis: its name, its spec before the
+/// per-server jitter, and its zero-filled sample buffer.
+struct Slot {
+    name: String,
+    spec: TraceSpec,
+    samples: Arc<[f64]>,
+}
+
+/// One site's share of a corpus build.
+struct Site {
+    /// Seed of the site's RNG stream.
+    seed: u64,
+    /// The site's traces in server order, drained as they are built.
+    slots: Vec<Slot>,
+    /// The finished traces, with room for every slot.
+    traces: Vec<UtilTrace>,
+}
+
+impl Site {
+    /// Builds the site's traces in order from its one RNG stream, into
+    /// the buffers and vector made by the caller; allocates nothing.
+    fn synthesize(&mut self, calendars: &[Calendar]) {
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        for Slot {
+            name,
+            mut spec,
+            mut samples,
+        } in self.slots.drain(..)
+        {
+            // Per-server phase jitter and mild mean jitter so servers at
+            // one site are correlated but not identical.
+            spec.phase += rng.gen_range(-0.5..0.5);
+            spec.mean_util = (spec.mean_util * rng.gen_range(0.85..1.15)).clamp(0.02, 0.95);
+            let calendar = calendars
+                .iter()
+                .find(|c| c.period() == spec.diurnal_period)
+                .expect("a calendar per period");
+            fill_on(&mut samples, &spec, calendar, &mut rng);
+            self.traces
+                .push(UtilTrace::new(name, samples).expect("generator clamps samples into [0, 1]"));
+        }
     }
 }
 
@@ -250,6 +342,31 @@ mod tests {
         for w in idx.windows(2) {
             assert!(c.traces()[w[0]].mean() <= c.traces()[w[1]].mean());
         }
+    }
+
+    #[test]
+    fn worker_count_does_not_change_a_bit() {
+        let sites = EnterpriseProfile::default_sites();
+        // 20 per site (the enterprise corpus) and an uneven 86 per site.
+        for (per_site, len, seed) in [(20, 300, 5), (86, 777, 11)] {
+            let reference = Corpus::synthesize(&sites, per_site, len, seed, 1);
+            assert_eq!(reference.len(), sites.len() * per_site);
+            for workers in [2, 3, 9, 16] {
+                let c = Corpus::synthesize(&sites, per_site, len, seed, workers);
+                assert_eq!(c.len(), reference.len());
+                for (a, b) in reference.traces().iter().zip(c.traces()) {
+                    assert_eq!(a.name(), b.name(), "{workers} workers");
+                    let bits =
+                        |t: &UtilTrace| t.samples().iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(a), bits(b), "{} with {workers} workers", a.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn no_sites_build_an_empty_corpus() {
+        assert!(Corpus::synthesize(&[], 20, 100, 1, 4).is_empty());
     }
 
     #[test]

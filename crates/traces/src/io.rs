@@ -15,8 +15,10 @@ use crate::Result;
 /// Writes a corpus to `path` as JSON.
 pub fn save_json(corpus: &Corpus, path: impl AsRef<Path>) -> Result<()> {
     let file = File::create(path)?;
-    let writer = BufWriter::new(file);
-    serde_json::to_writer(writer, corpus.traces())?;
+    let mut w = BufWriter::new(file);
+    serde_json::to_writer(&mut w, corpus.traces())?;
+    // Flushed here, not in `Drop`, which would discard a failed write.
+    w.flush()?;
     Ok(())
 }
 
@@ -54,7 +56,8 @@ pub fn export_csv(corpus: &Corpus, path: impl AsRef<Path>) -> Result<()> {
 /// Imports a corpus from CSV in the [`export_csv`] format
 /// (`tick,name1,name2,…` header, one row per tick). This is the hook for
 /// dropping in *real* utilization traces: values are validated into
-/// `[0, 1]`.
+/// `[0, 1]`, and a row with more or fewer cells than the header is
+/// rejected rather than shifting a trace by a tick.
 pub fn import_csv(path: impl AsRef<Path>) -> Result<Corpus> {
     use std::io::BufRead;
     let file = File::open(path)?;
@@ -67,12 +70,23 @@ pub fn import_csv(path: impl AsRef<Path>) -> Result<Corpus> {
     })??;
     let names: Vec<String> = header.split(',').skip(1).map(str::to_string).collect();
     let mut columns: Vec<Vec<f64>> = vec![Vec::new(); names.len()];
-    for line in lines {
+    for (index, line) in lines.enumerate() {
         let line = line?;
         if line.trim().is_empty() {
             continue;
         }
-        for (k, cell) in line.split(',').skip(1).enumerate().take(columns.len()) {
+        let cells = line.split(',').count();
+        if cells != names.len() + 1 {
+            return Err(TraceError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "line {}: {cells} cells, the header has {}",
+                    index + 2,
+                    names.len() + 1
+                ),
+            )));
+        }
+        for (k, cell) in line.split(',').skip(1).enumerate() {
             let value: f64 = cell.trim().parse().map_err(|_| {
                 TraceError::Io(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
@@ -178,6 +192,40 @@ mod tests {
         .unwrap();
         assert!(import_csv(&path).is_err());
         std::fs::remove_file(path).ok();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn save_reports_a_failed_write() {
+        let corpus = Corpus::new(vec![UtilTrace::constant("a", 0.5, 10).unwrap()]);
+        assert!(save_json(&corpus, "/dev/full").is_err());
+    }
+
+    /// Imports `text` and returns the error message it fails with.
+    fn import_error(name: &str, text: &str) -> String {
+        let path = tmp(name);
+        std::fs::write(&path, text).unwrap();
+        let err = import_csv(&path).unwrap_err();
+        std::fs::remove_file(path).ok();
+        match err {
+            crate::TraceError::Io(e) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+                e.to_string()
+            }
+            other => panic!("expected an I/O error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn import_rejects_a_short_row() {
+        let msg = import_error("short-row.csv", "tick,a,b\n0,0.1\n1,0.2,0.3\n2,0.4,0.5\n");
+        assert!(msg.starts_with("line 2:"), "{msg}");
+    }
+
+    #[test]
+    fn import_rejects_a_long_row() {
+        let msg = import_error("long-row.csv", "tick,a,b\n0,0.1,0.2\n1,0.2,0.3,0.9\n");
+        assert!(msg.starts_with("line 3:"), "{msg}");
     }
 
     #[test]

@@ -214,6 +214,11 @@ impl Calendar {
     pub(crate) fn period(&self) -> usize {
         self.period
     }
+
+    /// The number of ticks tabulated, which is every trace's length.
+    pub(crate) fn len(&self) -> usize {
+        self.day_angle.len()
+    }
 }
 
 /// Generates a `len`-tick utilization trace from `spec`, using `rng` for
@@ -224,47 +229,55 @@ pub fn generate<R: Rng>(
     len: usize,
     rng: &mut R,
 ) -> UtilTrace {
-    generate_on(name, spec, &Calendar::new(spec.diurnal_period, len), rng)
+    let calendar = Calendar::new(spec.diurnal_period, len);
+    let mut samples = zeroed(calendar.len());
+    fill_on(&mut samples, spec, &calendar, rng);
+    UtilTrace::new(name, samples).expect("generator clamps samples into [0, 1]")
 }
 
-/// [`generate`] over a prebuilt `calendar`, whose period must be the
-/// spec's and whose length is the trace's.
-pub(crate) fn generate_on<R: Rng>(
-    name: impl Into<String>,
+/// A zero-filled sample buffer of `len` ticks, allocated once at its
+/// final size (an exact-size iterator collects straight into the `Arc`).
+pub(crate) fn zeroed(len: usize) -> Arc<[f64]> {
+    (0..len).map(|_| 0.0).collect()
+}
+
+/// Writes the samples of `spec` over a prebuilt `calendar` (whose period
+/// must be the spec's) into `samples`, a buffer of the calendar's length
+/// that nothing else references yet. Allocates nothing.
+pub(crate) fn fill_on<R: Rng>(
+    samples: &mut Arc<[f64]>,
     spec: &TraceSpec,
     calendar: &Calendar,
     rng: &mut R,
-) -> UtilTrace {
+) {
     debug_assert_eq!(calendar.period, spec.diurnal_period);
+    let samples = Arc::get_mut(samples).expect("sample buffer is not shared yet");
+    debug_assert_eq!(samples.len(), calendar.len());
     let mut ar = 0.0_f64;
     let mut burst_left = 0usize;
     // Pre-scale AR(1) innovation so the process has stationary std
     // `noise_sigma`.
     let innov = spec.noise_sigma * (1.0 - spec.noise_rho * spec.noise_rho).sqrt();
-    // Collected straight into the shared buffer: an exact-size iterator
-    // fills the `Arc` without an intermediate `Vec` copy.
-    let samples: Arc<[f64]> = calendar
-        .day_angle
-        .iter()
+    for ((out, &angle), &week_sin) in samples
+        .iter_mut()
+        .zip(&calendar.day_angle)
         .zip(&calendar.week_sin)
-        .map(|(&angle, &week_sin)| {
-            let day = angle + spec.phase;
-            let mut u = spec.mean_util
-                * (1.0 + spec.diurnal_amplitude * day.sin())
-                * (1.0 + spec.weekly_amplitude * week_sin);
-            ar = spec.noise_rho * ar + innov * gaussian(rng);
-            u += ar;
-            if burst_left > 0 {
-                burst_left -= 1;
-                u += spec.burst_magnitude;
-            } else if rng.gen::<f64>() < spec.burst_prob {
-                burst_left = spec.burst_len;
-                u += spec.burst_magnitude;
-            }
-            u.clamp(0.0, 1.0)
-        })
-        .collect();
-    UtilTrace::new(name, samples).expect("generator clamps samples into [0, 1]")
+    {
+        let day = angle + spec.phase;
+        let mut u = spec.mean_util
+            * (1.0 + spec.diurnal_amplitude * day.sin())
+            * (1.0 + spec.weekly_amplitude * week_sin);
+        ar = spec.noise_rho * ar + innov * gaussian(rng);
+        u += ar;
+        if burst_left > 0 {
+            burst_left -= 1;
+            u += spec.burst_magnitude;
+        } else if rng.gen::<f64>() < spec.burst_prob {
+            burst_left = spec.burst_len;
+            u += spec.burst_magnitude;
+        }
+        *out = u.clamp(0.0, 1.0);
+    }
 }
 
 /// Standard normal deviate via Box–Muller (avoids a `rand_distr`
