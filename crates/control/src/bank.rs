@@ -17,6 +17,7 @@ use std::ops::Range;
 
 use nps_models::{ModelTable, PState};
 use nps_sim::par::Carve;
+use nps_sim::FloatBits;
 
 use crate::ec::EfficiencyController;
 use crate::sm::{ServerManager, SmDecision};
@@ -125,19 +126,10 @@ pub struct ControllerBank {
     beta: f64,
     /// SM guard band (fraction below the cap to regulate toward).
     guard: f64,
-    /// EC continuous frequency state, Hz.
-    freq_hz: Vec<f64>,
-    /// EC quantized frequency applied last interval, Hz.
-    applied_hz: Vec<f64>,
-    /// EC utilization target.
-    r_ref: Vec<f64>,
     /// SM static local budget `CAP_LOC`, watts.
     static_cap: Vec<f64>,
-    /// SM budget granted by the EM/GM for the current epoch, watts.
-    granted_cap: Vec<f64>,
-    /// First tick each server's granted budget stops being authorized
-    /// (`u64::MAX` = no lease: the grant holds until replaced).
-    lease_until: Vec<u64>,
+    /// The per-server controller state that checkpoints.
+    state: BankSnapshot,
 }
 
 impl ControllerBank {
@@ -169,12 +161,14 @@ impl ControllerBank {
             EfficiencyController::DEFAULT_R_REF_MAX,
         );
         Self {
-            applied_hz: freq_hz.clone(),
-            freq_hz,
-            r_ref: vec![r_ref; n],
+            state: BankSnapshot {
+                applied_hz: FloatBits(freq_hz.clone()),
+                freq_hz: FloatBits(freq_hz),
+                r_ref: FloatBits(vec![r_ref; n]),
+                granted_cap: FloatBits(vec![f64::INFINITY; n]),
+                lease_until: vec![u64::MAX; n],
+            },
             static_cap: static_caps.to_vec(),
-            granted_cap: vec![f64::INFINITY; n],
-            lease_until: vec![u64::MAX; n],
             table,
             lambda,
             beta,
@@ -190,12 +184,12 @@ impl ControllerBank {
 
     /// Number of servers in the bank.
     pub fn len(&self) -> usize {
-        self.r_ref.len()
+        self.state.r_ref.len()
     }
 
     /// True if the bank covers no servers.
     pub fn is_empty(&self) -> bool {
-        self.r_ref.is_empty()
+        self.state.r_ref.is_empty()
     }
 
     /// The shared model table the controllers evaluate against.
@@ -208,18 +202,18 @@ impl ControllerBank {
     /// Server `i`'s current utilization target.
     #[inline]
     pub fn r_ref(&self, i: usize) -> f64 {
-        self.r_ref[i]
+        self.state.r_ref[i]
     }
 
     /// Sets server `i`'s utilization target, clamped to the standard band
     /// — identical to [`EfficiencyController::set_r_ref`].
     pub fn set_r_ref(&mut self, i: usize, r_ref: f64) {
-        self.r_ref[i] = clamp_r_ref(r_ref);
+        self.state.r_ref[i] = clamp_r_ref(r_ref);
     }
 
     /// Server `i`'s continuous EC frequency state, Hz.
     pub fn frequency_hz(&self, i: usize) -> f64 {
-        self.freq_hz[i]
+        self.state.freq_hz[i]
     }
 
     /// One EC control step for server `i` — the same update as
@@ -231,9 +225,9 @@ impl ControllerBank {
             &self.table,
             self.lambda,
             i,
-            &mut self.freq_hz[i],
-            &mut self.applied_hz[i],
-            self.r_ref[i],
+            &mut self.state.freq_hz[i],
+            &mut self.state.applied_hz[i],
+            self.state.r_ref[i],
             measured_util,
         )
     }
@@ -241,8 +235,8 @@ impl ControllerBank {
     /// Resets server `i`'s EC to its maximum frequency (e.g. after a
     /// power-on) — identical to [`EfficiencyController::reset`].
     pub fn ec_reset(&mut self, i: usize) {
-        self.freq_hz[i] = self.table.max_frequency_hz(i);
-        self.applied_hz[i] = self.freq_hz[i];
+        self.state.freq_hz[i] = self.table.max_frequency_hz(i);
+        self.state.applied_hz[i] = self.state.freq_hz[i];
     }
 
     // ----- server manager -------------------------------------------------
@@ -258,8 +252,8 @@ impl ControllerBank {
     /// grant carries no lease (it holds until replaced).
     #[inline]
     pub fn set_granted_cap(&mut self, i: usize, watts: f64) {
-        self.granted_cap[i] = watts.max(0.0);
-        self.lease_until[i] = u64::MAX;
+        self.state.granted_cap[i] = watts.max(0.0);
+        self.state.lease_until[i] = u64::MAX;
     }
 
     /// Grants server `i` a *leased* dynamic budget: the grant authorizes
@@ -268,15 +262,15 @@ impl ControllerBank {
     /// cap.
     #[inline]
     pub fn set_granted_cap_leased(&mut self, i: usize, watts: f64, lease_until: u64) {
-        self.granted_cap[i] = watts.max(0.0);
-        self.lease_until[i] = lease_until;
+        self.state.granted_cap[i] = watts.max(0.0);
+        self.state.lease_until[i] = lease_until;
     }
 
     /// First tick server `i`'s grant stops being authorized
     /// (`u64::MAX` = unleased).
     #[inline]
     pub fn lease_until(&self, i: usize) -> u64 {
-        self.lease_until[i]
+        self.state.lease_until[i]
     }
 
     /// Expires server `i`'s lease if it has lapsed at `now`: the granted
@@ -285,26 +279,26 @@ impl ControllerBank {
     /// happened.
     #[inline]
     pub fn expire_lease(&mut self, i: usize, now: u64) -> bool {
-        if now < self.lease_until[i] {
+        if now < self.state.lease_until[i] {
             return false;
         }
-        self.granted_cap[i] = f64::INFINITY;
-        self.lease_until[i] = u64::MAX;
+        self.state.granted_cap[i] = f64::INFINITY;
+        self.state.lease_until[i] = u64::MAX;
         true
     }
 
     /// Resets server `i`'s grant to unlimited and clears any lease (e.g.
     /// after a power-on revival).
     pub fn reset_grant(&mut self, i: usize) {
-        self.granted_cap[i] = f64::INFINITY;
-        self.lease_until[i] = u64::MAX;
+        self.state.granted_cap[i] = f64::INFINITY;
+        self.state.lease_until[i] = u64::MAX;
     }
 
     /// The budget server `i`'s SM enforces this epoch:
     /// `min(CAP_LOC, granted)`.
     #[inline]
     pub fn effective_cap_watts(&self, i: usize) -> f64 {
-        self.static_cap[i].min(self.granted_cap[i])
+        self.static_cap[i].min(self.state.granted_cap[i])
     }
 
     /// One **coordinated** SM interval for server `i` — the same update
@@ -317,9 +311,9 @@ impl ControllerBank {
             self.beta,
             self.guard,
             i,
-            &mut self.r_ref[i],
+            &mut self.state.r_ref[i],
             self.static_cap[i],
-            self.granted_cap[i],
+            self.state.granted_cap[i],
             measured_power_watts,
         )
     }
@@ -337,7 +331,7 @@ impl ControllerBank {
             &self.table,
             i,
             self.static_cap[i],
-            self.granted_cap[i],
+            self.state.granted_cap[i],
             measured_power_watts,
             current,
         )
@@ -357,29 +351,21 @@ impl ControllerBank {
             lambda: self.lambda,
             beta: self.beta,
             guard: self.guard,
-            freq_hz: Carve::new(&mut self.freq_hz),
-            applied_hz: Carve::new(&mut self.applied_hz),
-            r_ref: Carve::new(&mut self.r_ref),
+            freq_hz: Carve::new(&mut self.state.freq_hz),
+            applied_hz: Carve::new(&mut self.state.applied_hz),
+            r_ref: Carve::new(&mut self.state.r_ref),
             static_cap: &self.static_cap,
-            granted_cap: Carve::new(&mut self.granted_cap),
-            lease_until: Carve::new(&mut self.lease_until),
+            granted_cap: Carve::new(&mut self.state.granted_cap),
+            lease_until: Carve::new(&mut self.state.lease_until),
         }
     }
 
     // ----- checkpointing --------------------------------------------------
 
     /// Captures the bank's mutable state (EC frequencies, targets, grants,
-    /// leases) for checkpointing. Floats are bit-packed so infinite grants
-    /// survive the JSON roundtrip exactly.
+    /// leases) for checkpointing.
     pub fn snapshot(&self) -> BankSnapshot {
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
-        BankSnapshot {
-            freq_hz_bits: bits(&self.freq_hz),
-            applied_hz_bits: bits(&self.applied_hz),
-            r_ref_bits: bits(&self.r_ref),
-            granted_cap_bits: bits(&self.granted_cap),
-            lease_until: self.lease_until.clone(),
-        }
+        self.state.clone()
     }
 
     /// True if `snap` has this bank's shape: one entry per server in
@@ -388,10 +374,10 @@ impl ControllerBank {
     pub fn fits(&self, snap: &BankSnapshot) -> bool {
         let n = self.len();
         [
-            snap.freq_hz_bits.len(),
-            snap.applied_hz_bits.len(),
-            snap.r_ref_bits.len(),
-            snap.granted_cap_bits.len(),
+            snap.freq_hz.len(),
+            snap.applied_hz.len(),
+            snap.r_ref.len(),
+            snap.granted_cap.len(),
             snap.lease_until.len(),
         ]
         .iter()
@@ -402,12 +388,7 @@ impl ControllerBank {
     /// must have been built over the same fleet (see
     /// [`ControllerBank::fits`]).
     pub fn restore(&mut self, snap: &BankSnapshot) {
-        let floats = |v: &[u64]| v.iter().map(|&b| f64::from_bits(b)).collect();
-        self.freq_hz = floats(&snap.freq_hz_bits);
-        self.applied_hz = floats(&snap.applied_hz_bits);
-        self.r_ref = floats(&snap.r_ref_bits);
-        self.granted_cap = floats(&snap.granted_cap_bits);
-        self.lease_until = snap.lease_until.clone();
+        self.state.clone_from(snap);
     }
 }
 
@@ -552,19 +533,21 @@ impl BankShard<'_> {
     }
 }
 
-/// The bank's mutable state (checkpoint section); one slot per server,
-/// floats as IEEE-754 bit patterns.
+/// The bank's mutable state, kept whole by [`ControllerBank`]
+/// (checkpoint section); one slot per server.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct BankSnapshot {
-    /// EC continuous frequency state.
-    pub freq_hz_bits: Vec<u64>,
-    /// EC quantized applied frequency.
-    pub applied_hz_bits: Vec<u64>,
+    /// EC continuous frequency state, Hz.
+    pub freq_hz: FloatBits,
+    /// EC quantized frequency applied last interval, Hz.
+    pub applied_hz: FloatBits,
     /// EC utilization targets.
-    pub r_ref_bits: Vec<u64>,
-    /// SM granted budgets (possibly infinite).
-    pub granted_cap_bits: Vec<u64>,
-    /// Grant lease deadlines (`u64::MAX` = unleased).
+    pub r_ref: FloatBits,
+    /// SM budgets granted by the EM/GM for the current epoch, watts
+    /// (possibly infinite).
+    pub granted_cap: FloatBits,
+    /// First tick each server's granted budget stops being authorized
+    /// (`u64::MAX` = no lease: the grant holds until replaced).
     pub lease_until: Vec<u64>,
 }
 

@@ -9,6 +9,7 @@
 //! group level can itself be granted a budget by a higher-level manager,
 //! nesting arbitrarily.
 
+use nps_sim::FloatWord;
 use serde::{Deserialize, Serialize};
 
 use crate::policy::BudgetPolicy;
@@ -164,7 +165,7 @@ impl GroupCapper {
     /// for checkpointing.
     pub fn snapshot(&self) -> CapperSnapshot {
         CapperSnapshot {
-            granted_cap_bits: self.granted_cap_watts.to_bits(),
+            granted_cap: FloatWord(self.granted_cap_watts),
             lease_until: self.lease_until,
             policy_state: self.policy.export_state(),
         }
@@ -182,7 +183,7 @@ impl GroupCapper {
     /// must have been built with the same static budget and policy kind
     /// (see [`GroupCapper::fits`]).
     pub fn restore(&mut self, snap: &CapperSnapshot) {
-        self.granted_cap_watts = f64::from_bits(snap.granted_cap_bits);
+        self.granted_cap_watts = snap.granted_cap.0;
         self.lease_until = snap.lease_until;
         self.policy.import_state(&snap.policy_state);
     }
@@ -191,8 +192,8 @@ impl GroupCapper {
 /// A [`GroupCapper`]'s mutable state (checkpoint section).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CapperSnapshot {
-    /// Granted budget (possibly infinite), as IEEE-754 bits.
-    pub granted_cap_bits: u64,
+    /// Granted budget (possibly infinite).
+    pub granted_cap: FloatWord,
     /// Grant lease deadline (`u64::MAX` = unleased).
     pub lease_until: u64,
     /// Opaque division-policy state

@@ -50,9 +50,8 @@ pub use config::{ExperimentConfig, PolicyKind};
 pub use error::CoreError;
 pub use intervals::Intervals;
 pub use runner::{
-    run_experiment, EcSmState, EcSmWindows, ExperimentResult, FloatBits, ManagerState,
-    ManagerWindows, PStateHolds, PlaneState, Replicas, Runner, RunnerSnapshot, SafetyState,
-    VmcState, VmcWindows,
+    run_experiment, EcSmState, EcSmWindows, ExperimentResult, ManagerState, ManagerWindows,
+    PlaneState, Replicas, Runner, RunnerSnapshot, SafetyState, VmcState, VmcWindows,
 };
 pub use scenarios::{Scenario, SystemKind};
 pub use sweep::{load_results, run_sweep, run_sweep_resumable, save_results, SweepError};

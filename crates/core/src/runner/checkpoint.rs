@@ -2,10 +2,8 @@
 //! state whole, and the runner saves, loads and restores it.
 
 use nps_metrics::{FaultStats, LevelViolations, TelemetryEvent};
-use nps_models::PState;
-use nps_sim::{InjectorSnapshot, SimSnapshot};
-use serde::{Deserialize, Serialize, Serializer, Value};
-use std::ops::{Deref, DerefMut};
+use nps_sim::{FloatWord, InjectorSnapshot, SimSnapshot};
+use serde::{Deserialize, Serialize};
 
 use super::ecsm::EcSmState;
 use super::managers::ManagerState;
@@ -15,59 +13,6 @@ use super::vmc::VmcState;
 use super::Runner;
 use crate::config::ExperimentConfig;
 use crate::CoreError;
-
-/// A per-server (or per-VM) array that checkpoints as one word per
-/// element, written through the shim's `uint_seq` in one pass.
-macro_rules! word_array {
-    ($(#[$doc:meta])* $name:ident($elem:ty), $to_word:expr, $from_word:expr) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, PartialEq, Default)]
-        pub struct $name(pub Vec<$elem>);
-
-        impl Deref for $name {
-            type Target = Vec<$elem>;
-            fn deref(&self) -> &Vec<$elem> {
-                &self.0
-            }
-        }
-
-        impl DerefMut for $name {
-            fn deref_mut(&mut self) -> &mut Vec<$elem> {
-                &mut self.0
-            }
-        }
-
-        impl Serialize for $name {
-            fn serialize(&self, s: &mut Serializer) {
-                s.uint_seq(self.0.iter().map(|&v| $to_word(v)));
-            }
-        }
-
-        impl Deserialize for $name {
-            fn deserialize(v: &Value) -> Result<Self, serde::Error> {
-                let words = Vec::<u64>::deserialize(v)?;
-                Ok(Self(words.into_iter().map($from_word).collect()))
-            }
-        }
-    };
-}
-
-word_array!(
-    /// A float array that checkpoints as IEEE-754 bit words: bit-exact
-    /// and safe for non-finite values, which JSON numbers would collapse
-    /// to `null`.
-    FloatBits(f64),
-    f64::to_bits,
-    f64::from_bits
-);
-
-word_array!(
-    /// Per-server standing P-state demands, checkpointed as one word
-    /// each (`u64::MAX` = none).
-    PStateHolds(Option<PState>),
-    |h: Option<PState>| h.map_or(u64::MAX, |p| p.index() as u64),
-    |w: u64| (w != u64::MAX).then_some(PState(w as usize))
-);
 
 /// A [`Runner`]'s complete dynamic state, produced by
 /// [`Runner::snapshot`] and consumed by [`Runner::restore`] /
@@ -96,8 +41,8 @@ pub struct RunnerSnapshot {
     pub fstats: FaultStats,
     /// Per-level violation accounting.
     pub violations: LevelViolations,
-    /// Latency-proxy accumulator (bit word).
-    pub cum_latency_proxy_bits: u64,
+    /// Latency-proxy accumulator.
+    pub cum_latency_proxy: FloatWord,
     /// Latency-proxy sample count.
     pub latency_samples: u64,
     /// EC/SM layer: the controller bank and its windows.
@@ -115,9 +60,9 @@ pub struct RunnerSnapshot {
 impl RunnerSnapshot {
     /// Current checkpoint format version. Bump on any layout change —
     /// restore refuses checkpoints from other versions. DESIGN.md §9
-    /// describes what each version changed; version 7 nests each
-    /// controller layer's state under one key.
-    pub const VERSION: u32 = 7;
+    /// describes what each version changed; version 8 writes the
+    /// simulator's, bank's, injector's and bus's state structs whole.
+    pub const VERSION: u32 = 8;
 
     /// Writes the checkpoint to `path` as JSON, atomically: the bytes go
     /// to a sibling temp file first and are renamed into place, so a
@@ -203,7 +148,7 @@ impl Runner {
             injector: env.injector.snapshot(),
             fstats: env.fstats,
             violations: self.violations,
-            cum_latency_proxy_bits: self.cum_latency_proxy.to_bits(),
+            cum_latency_proxy: self.cum_latency_proxy,
             latency_samples: self.latency_samples,
             ecsm: self.ecsm.snapshot(),
             managers: self.mgr.snapshot(),
@@ -254,7 +199,7 @@ impl Runner {
         env.injector.restore(&snap.injector);
         env.fstats = snap.fstats;
         self.violations = snap.violations;
-        self.cum_latency_proxy = f64::from_bits(snap.cum_latency_proxy_bits);
+        self.cum_latency_proxy = snap.cum_latency_proxy;
         self.latency_samples = snap.latency_samples;
         self.ecsm.restore(&snap.ecsm);
         self.mgr.restore(&snap.managers);

@@ -6,10 +6,9 @@
 use nps_control::{BankSnapshot, ControllerBank};
 use nps_metrics::{BudgetLevel, ControllerKind, TelemetryEvent, ViolationCounter};
 use nps_models::{PState, ServerModel};
-use nps_sim::{par, ControllerLayer, OutageWindow, SensorChannel, ServerId, Simulation};
+use nps_sim::{par, ControllerLayer, FloatBits, PStateHolds, SensorChannel, ServerId, Simulation};
 
-use super::checkpoint::{FloatBits, PStateHolds};
-use super::shard::{offline_in, server_shards, shard_ingest};
+use super::shard::{server_shards, shard_ingest};
 use super::Env;
 
 /// The EC/SM layer: the controller bank plus its windows.
@@ -198,7 +197,6 @@ impl EcSm {
             &mut self.w.last_power_sm,
             &mut self.w.sm_hold,
         );
-        let outages: &[OutageWindow] = &env.outage_windows;
         let cap_loc: &[f64] = &env.cap_loc;
         par::for_each_shard(env.pool.as_ref(), shards, move |mut sh| {
             for i in sh.range.clone() {
@@ -235,7 +233,7 @@ impl EcSm {
                 // An offline SM takes no control action; the EC keeps
                 // running against its last `r_ref` and the static-budget
                 // monitor above keeps reporting.
-                if offline_in(outages, ControllerLayer::Sm, i, t) {
+                if sh.outages.offline(ControllerLayer::Sm, i, t) {
                     sh.sc.fstats.outage_epochs += 1;
                     if recording {
                         sh.sc.telemetry.push(TelemetryEvent::ControllerOutage {

@@ -10,14 +10,13 @@ use nps_metrics::{
 use nps_models::ServerModel;
 use nps_sim::par::{self, Carve};
 use nps_sim::{
-    reduce, ControllerLayer, EnclosureId, OutageWindow, ReplicaState, SensorChannel, ServerId,
+    reduce, ControllerLayer, EnclosureId, FloatBits, ReplicaState, SensorChannel, ServerId,
     Simulation,
 };
 
-use super::checkpoint::FloatBits;
 use super::plane::Plane;
 use super::safety::Safety;
-use super::shard::{ingest_buffered, offline_in, EmRecord, EmShard, GmShard};
+use super::shard::{ingest_buffered, EmRecord, EmShard, GmShard};
 use super::Env;
 
 /// The EM/GM layer. Children of the GM are the enclosures first, then
@@ -181,7 +180,8 @@ impl Managers {
         let (ranges, shard_encs) = (&env.shards, &env.shard_encs);
         let (view, mut acts) = env.sim.epoch_shards();
         let mut banks = bank.shards();
-        let (mut draws, mut senses) = env.injector.draw_shards(SensorChannel::EnclosurePower);
+        let (mut draws, mut senses, outages) =
+            env.injector.draw_shards(SensorChannel::EnclosurePower);
         let mut snap_pows = Carve::new(&mut self.w.snap_power[..]);
         let mut snap_encs = Carve::new(&mut self.w.snap_encpow_em[..]);
         let mut last_encs = Carve::new(&mut self.w.last_encpow_em[..]);
@@ -209,7 +209,6 @@ impl Managers {
         // Promotion state is frozen for the epoch (the failure detector
         // only runs in the global phase), so shards read it directly.
         let replicas: &[ReplicaState] = &plane.replicas.em_replicas;
-        let outages: &[OutageWindow] = &env.outage_windows;
         let cap_loc: &[f64] = &env.cap_loc;
         let enc_offsets: &[usize] = &env.enc_offsets;
         let models: &[ServerModel] = &env.models;
@@ -278,7 +277,7 @@ impl Managers {
                         break 'epoch;
                     }
                     let promoted = replicas.get(e).is_some_and(|r| r.promoted);
-                    if offline_in(outages, ControllerLayer::Em, e, t) && !promoted {
+                    if outages.offline(ControllerLayer::Em, e, t) && !promoted {
                         if !em_was_down[ee] {
                             em_was_down[ee] = true;
                             if local_fallback {

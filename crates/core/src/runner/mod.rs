@@ -23,7 +23,7 @@ mod safety;
 mod shard;
 mod vmc;
 
-pub use checkpoint::{FloatBits, PStateHolds, RunnerSnapshot};
+pub use checkpoint::RunnerSnapshot;
 pub use ecsm::{EcSmState, EcSmWindows};
 pub use managers::{ManagerState, ManagerWindows};
 pub use plane::{PlaneState, Replicas};
@@ -38,7 +38,7 @@ use nps_metrics::{
 use nps_models::{PState, ServerModel};
 use nps_opt::Vmc;
 use nps_sim::{
-    reduce, EnclosureId, FaultInjector, FaultPlan, OutageWindow, RedundancyStats, ReplicaState,
+    reduce, EnclosureId, FaultInjector, FaultPlan, FloatWord, RedundancyStats, ReplicaState,
     ServerId, ShardEffects, SimConfig, Simulation, VmId, WorkerPool,
 };
 use std::ops::Range;
@@ -105,7 +105,7 @@ pub struct Runner {
     // Run totals.
     violations: LevelViolations,
     power_trace: Option<nps_metrics::TimeSeries>,
-    cum_latency_proxy: f64,
+    cum_latency_proxy: FloatWord,
     latency_samples: u64,
     /// Wall-clock nanoseconds spent inside VMC arbitration epochs.
     /// Timing diagnostic like the pool's `busy_nanos` — never part of a
@@ -137,10 +137,6 @@ struct Env {
     enc_offsets: Vec<usize>,
     // Fault injection and graceful degradation.
     injector: FaultInjector,
-    /// Static copy of the fault plan's outage windows, so shard bodies
-    /// can evaluate `offline` without borrowing the injector (whose
-    /// actuator-jam state is carved into the shards).
-    outage_windows: Vec<OutageWindow>,
     fstats: FaultStats,
     /// Telemetry sink; `None` costs one discriminant test per event site.
     recorder: Option<Box<dyn Recorder>>,
@@ -378,7 +374,6 @@ impl Runner {
             .collect();
 
         let injector = FaultInjector::new(&cfg.faults, n, num_enclosures, n - flat);
-        let outage_windows = injector.plan().outages.clone();
         let env = Env {
             mask: cfg.mask,
             mode: cfg.mode,
@@ -390,7 +385,6 @@ impl Runner {
             cap_grp,
             enc_offsets,
             injector,
-            outage_windows,
             fstats: FaultStats::default(),
             recorder: None,
             pool,
@@ -415,7 +409,7 @@ impl Runner {
             safety,
             violations: LevelViolations::new(),
             power_trace: None,
-            cum_latency_proxy: 0.0,
+            cum_latency_proxy: FloatWord(0.0),
             latency_samples: 0,
             arb_ns: 0,
         })
@@ -590,7 +584,7 @@ impl Runner {
         };
         let combine = |a: (f64, u64), b: (f64, u64)| (a.0 + b.0, a.1 + b.1);
         let (delta, on) = reduce::tree_reduce(n, (0.0f64, 0u64), term, combine);
-        self.cum_latency_proxy += delta;
+        *self.cum_latency_proxy += delta;
         self.latency_samples += on;
     }
 
@@ -629,7 +623,7 @@ impl Runner {
             mean_latency_proxy: if self.latency_samples == 0 {
                 1.0
             } else {
-                self.cum_latency_proxy / self.latency_samples as f64
+                *self.cum_latency_proxy / self.latency_samples as f64
             },
             ticks: self.env.t,
         }

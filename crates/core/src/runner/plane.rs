@@ -6,8 +6,8 @@
 use nps_control::{CapperSnapshot, ControllerBank, GroupCapper};
 use nps_metrics::{BudgetLevel, ControllerKind, TelemetryEvent};
 use nps_sim::{
-    BusConfig, BusEvent, BusSnapshot, ControlBus, ControllerLayer, LinkId, RedundancyConfig,
-    RedundancyStats, ReplicaState,
+    BusConfig, BusEvent, BusSnapshot, ControlBus, ControllerLayer, FloatWord, LinkId,
+    RedundancyConfig, RedundancyStats, ReplicaState,
 };
 
 use super::Env;
@@ -635,11 +635,11 @@ impl Plane {
 }
 
 /// Flattens a capper snapshot into the word vector shipped over sync
-/// links and held in a replica's shadow: `[granted_cap_bits,
+/// links and held in a replica's shadow: `[granted_cap bit word,
 /// lease_until, policy words...]`. Bit-exact by construction.
 fn encode_capper(snap: &CapperSnapshot) -> Vec<u64> {
     let mut words = Vec::with_capacity(2 + snap.policy_state.len());
-    words.push(snap.granted_cap_bits);
+    words.push(snap.granted_cap.to_bits());
     words.push(snap.lease_until);
     words.extend_from_slice(&snap.policy_state);
     words
@@ -649,10 +649,10 @@ fn encode_capper(snap: &CapperSnapshot) -> Vec<u64> {
 /// than the two fixed words) — the promotion then keeps the live
 /// controller's current state rather than corrupting it.
 fn decode_capper(words: &[u64]) -> Option<CapperSnapshot> {
-    let (&granted_cap_bits, rest) = words.split_first()?;
+    let (&granted_cap, rest) = words.split_first()?;
     let (&lease_until, policy) = rest.split_first()?;
     Some(CapperSnapshot {
-        granted_cap_bits,
+        granted_cap: FloatWord(f64::from_bits(granted_cap)),
         lease_until,
         policy_state: policy.to_vec(),
     })

@@ -10,8 +10,8 @@ use nps_metrics::{
 use nps_models::PState;
 use nps_sim::par::Carve;
 use nps_sim::{
-    ActuatorDrawShard, ActuatorShard, ControllerLayer, FaultInjector, OutageWindow, Reading,
-    SensorChannel, SensorDrawShard, ShardEffects, SimEpochView, Simulation,
+    ActuatorDrawShard, ActuatorShard, FaultInjector, Outages, Reading, SensorChannel,
+    SensorDrawShard, ShardEffects, SimEpochView, Simulation,
 };
 use std::ops::Range;
 
@@ -66,6 +66,8 @@ pub(super) struct EpochShard<'a> {
     pub(super) draw: ActuatorDrawShard<'a>,
     /// The epoch channel's per-server sensor counter streams.
     pub(super) sense: SensorDrawShard<'a>,
+    /// The fault plan's controller outage windows.
+    pub(super) outages: Outages<'a>,
     /// This epoch's measurement-window snapshots (EC: utilization, SM:
     /// power).
     pub(super) snap: &'a mut [f64],
@@ -116,19 +118,6 @@ pub(super) struct GmShard<'a> {
     pub(super) sc: &'a mut ShardScratch,
 }
 
-/// Offline check against a static copy of the fault plan's outage
-/// windows — usable from inside a worker while the injector itself is
-/// carved into actuator-draw shards. [`FaultInjector::offline`] is a
-/// pure scan of the same windows, so verdicts are identical.
-pub(super) fn offline_in(
-    outages: &[OutageWindow],
-    layer: ControllerLayer,
-    index: usize,
-    tick: u64,
-) -> bool {
-    outages.iter().any(|w| w.covers(layer, index, tick))
-}
-
 /// Carves the simulator, the controller bank, the injector and one
 /// epoch's per-server arrays into [`EpochShard`]s, built lazily as the
 /// driver hands them out, each paired with its shard's scratch.
@@ -150,7 +139,7 @@ pub(super) fn server_shards<'a>(
 ) {
     let (view, mut acts) = sim.epoch_shards();
     let mut banks = bank.shards();
-    let (mut draws, mut senses) = injector.draw_shards(channel);
+    let (mut draws, mut senses, outages) = injector.draw_shards(channel);
     let (mut snaps, mut lasts) = (Carve::new(snap), Carve::new(last_good));
     let mut holds = Carve::new(sm_hold);
     let shards = (scratch.iter_mut().zip(effects))
@@ -162,6 +151,7 @@ pub(super) fn server_shards<'a>(
                 act: acts.take(r.clone(), eff),
                 draw: draws.take(r.clone()),
                 sense: senses.take(r.clone()),
+                outages,
                 snap: snaps.take(r.clone()),
                 last_good: lasts.take(r.clone()),
                 sm_hold: holds.take(r.clone()),

@@ -5,10 +5,9 @@
 use nps_metrics::{TelemetryEvent, ViolationCounter};
 use nps_opt::{ClusterContext, Vmc};
 use nps_sim::par::{self, Carve};
-use nps_sim::{reduce, VmId};
+use nps_sim::{reduce, FloatBits, VmId};
 use std::ops::Range;
 
-use super::checkpoint::FloatBits;
 use super::ecsm::EcSm;
 use super::managers::Managers;
 use super::Env;
@@ -33,8 +32,8 @@ pub(super) struct VmcLayer {
 /// The VMC layer's checkpointed state.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct VmcState {
-    /// VMC feedback buffers `[b_loc, b_enc, b_grp]` as bit words.
-    pub buffer_bits: Vec<u64>,
+    /// VMC feedback buffers `[b_loc, b_enc, b_grp]`.
+    pub buffer: FloatBits,
     /// Utilization windows, violation feedback and plan outcomes.
     pub windows: VmcWindows,
 }
@@ -94,7 +93,10 @@ impl VmcLayer {
 
     pub(super) fn snapshot(&self) -> VmcState {
         VmcState {
-            buffer_bits: self.vmc.buffer_bits().to_vec(),
+            buffer: {
+                let (b_loc, b_enc, b_grp) = self.vmc.buffers();
+                FloatBits(vec![b_loc, b_enc, b_grp])
+            },
             windows: self.w.clone(),
         }
     }
@@ -104,7 +106,7 @@ impl VmcLayer {
     pub(super) fn fits(&self, s: &VmcState) -> bool {
         let w = &s.windows;
         let vms = self.w.cum_vm_util.len();
-        s.buffer_bits.len() == 3
+        s.buffer.len() == 3
             && [&w.cum_vm_util, &w.snap_vm_util, &w.win_max_vm_util]
                 .iter()
                 .all(|a| a.len() == vms)
@@ -112,10 +114,8 @@ impl VmcLayer {
 
     /// Restores state that [`VmcLayer::fits`].
     pub(super) fn restore(&mut self, s: &VmcState) {
-        let bits: [u64; 3] = s.buffer_bits[..]
-            .try_into()
-            .expect("buffer length checked by fits");
-        self.vmc.restore_buffer_bits(&bits);
+        self.vmc
+            .restore_buffers((s.buffer[0], s.buffer[1], s.buffer[2]));
         self.w.clone_from(&s.windows);
     }
 

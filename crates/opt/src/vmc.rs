@@ -214,21 +214,11 @@ impl Vmc {
         (self.b_loc, self.b_enc, self.b_grp)
     }
 
-    /// The feedback buffers as IEEE-754 bit words
-    /// `[b_loc, b_enc, b_grp]`, for bit-exact checkpointing.
-    pub fn buffer_bits(&self) -> [u64; 3] {
-        [
-            self.b_loc.to_bits(),
-            self.b_enc.to_bits(),
-            self.b_grp.to_bits(),
-        ]
-    }
-
-    /// Restores buffers captured by [`Vmc::buffer_bits`].
-    pub fn restore_buffer_bits(&mut self, bits: &[u64; 3]) {
-        self.b_loc = f64::from_bits(bits[0]);
-        self.b_enc = f64::from_bits(bits[1]);
-        self.b_grp = f64::from_bits(bits[2]);
+    /// Restores buffers read by [`Vmc::buffers`], for checkpointing.
+    pub fn restore_buffers(&mut self, (b_loc, b_enc, b_grp): (f64, f64, f64)) {
+        self.b_loc = b_loc;
+        self.b_enc = b_enc;
+        self.b_grp = b_grp;
     }
 
     /// Feeds back the budget-violation rates observed since the last
@@ -326,14 +316,13 @@ mod tests {
     }
 
     #[test]
-    fn buffer_bits_roundtrip_exactly() {
+    fn buffers_restore_exactly() {
         let mut vmc = Vmc::new(VmcConfig::default());
         vmc.report_violations(0.137, 0.004, 0.91);
-        let bits = vmc.buffer_bits();
         let mut fresh = Vmc::new(VmcConfig::default());
-        fresh.restore_buffer_bits(&bits);
-        assert_eq!(vmc.buffers(), fresh.buffers());
-        assert_eq!(fresh.buffer_bits(), bits);
+        fresh.restore_buffers(vmc.buffers());
+        let bits = |(a, b, c): (f64, f64, f64)| [a.to_bits(), b.to_bits(), c.to_bits()];
+        assert_eq!(bits(fresh.buffers()), bits(vmc.buffers()));
     }
 
     #[test]

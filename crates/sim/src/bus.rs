@@ -57,6 +57,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use crate::words::FloatWord;
+
 /// Retransmission policy for unacknowledged grants.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RetryConfig {
@@ -300,28 +302,25 @@ pub enum BusEvent {
     Exhausted(GrantMsg),
 }
 
-/// Wire direction of an in-flight message.
+/// One queued message (a grant, or an acknowledgement sent back while
+/// retries are enabled).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-enum MsgKind {
-    /// Grantor → child budget grant.
-    Grant,
-    /// Child → grantor acknowledgement (deterministic, lossless). Sent
-    /// only while retries are enabled — its one effect is clearing the
-    /// sender's pending retry.
-    Ack,
-}
-
-/// One queued message.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct InFlight {
-    deliver_at: u64,
+pub struct InFlight {
+    /// Scheduled delivery tick.
+    pub deliver_at: u64,
     /// Monotone enqueue counter; ties on `deliver_at` resolve in send
     /// order, which keeps the queue deterministic.
-    uid: u64,
-    link: usize,
-    kind: MsgKind,
-    seq: u64,
-    watts: f64,
+    pub uid: u64,
+    /// Link index.
+    pub link: usize,
+    /// `true` for a child → grantor acknowledgement (deterministic,
+    /// lossless; its one effect is clearing the sender's pending retry),
+    /// `false` for a grantor → child budget grant.
+    pub is_ack: bool,
+    /// Sequence number.
+    pub seq: u64,
+    /// Payload watts (0 for an ack).
+    pub watts: FloatWord,
 }
 
 /// Min-heap adapter: orders [`InFlight`] messages by `(deliver_at, uid)`
@@ -351,25 +350,28 @@ impl Ord for QueueEntry {
 }
 
 /// Sender-side retransmission state for the newest unacked grant.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Pending {
-    seq: u64,
-    watts: f64,
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Pending {
+    /// Sequence number of the unacked grant.
+    pub seq: u64,
+    /// Granted watts.
+    pub watts: FloatWord,
     /// Retransmissions already performed.
-    attempts: u32,
-    next_retry_at: u64,
+    pub attempts: u32,
+    /// Tick the next retry timer fires.
+    pub next_retry_at: u64,
 }
 
 /// Per-link state machine: sender sequence/retry state plus receiver
 /// acceptance state.
-#[derive(Debug, Clone, PartialEq, Default)]
-struct LinkState {
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct LinkState {
     /// Next sequence number the sender will assign (first grant is 1).
-    next_seq: u64,
-    /// The newest unacknowledged grant, if retries are enabled.
-    pending: Option<Pending>,
+    pub next_seq: u64,
     /// Highest sequence number the receiver has accepted (0 = none).
-    accepted_seq: u64,
+    pub accepted_seq: u64,
+    /// The newest unacknowledged grant, if retries are enabled.
+    pub pending: Option<Pending>,
 }
 
 /// The deterministic control-plane bus.
@@ -550,7 +552,7 @@ impl ControlBus {
                     self.next_uid += 1;
                     self.receive_ack(link, seq);
                 } else {
-                    self.enqueue(now + self.cfg.delay_ticks, link, MsgKind::Ack, seq, 0.0);
+                    self.enqueue(now + self.cfg.delay_ticks, link, true, seq, 0.0);
                 }
             }
         }
@@ -566,7 +568,7 @@ impl ControlBus {
     #[inline]
     fn hold_copy(&mut self, deliver_at: u64, link: usize, seq: u64, watts: f64, now: u64) -> bool {
         if deliver_at > now {
-            self.enqueue(deliver_at, link, MsgKind::Grant, seq, watts);
+            self.enqueue(deliver_at, link, false, seq, watts);
             return false;
         }
         self.next_uid += 1;
@@ -614,7 +616,7 @@ impl ControlBus {
                 link,
                 Pending {
                     seq,
-                    watts,
+                    watts: FloatWord(watts),
                     attempts: 0,
                     next_retry_at: now + backoff + jitter,
                 },
@@ -629,9 +631,9 @@ impl ControlBus {
         let Some((first, duplicate)) = self.draw_copies(now) else {
             return false;
         };
-        self.enqueue(first, link, MsgKind::Grant, seq, watts);
+        self.enqueue(first, link, false, seq, watts);
         if let Some(at) = duplicate {
-            self.enqueue(at, link, MsgKind::Grant, seq, watts);
+            self.enqueue(at, link, false, seq, watts);
         }
         true
     }
@@ -669,16 +671,17 @@ impl ControlBus {
         }
     }
 
-    fn enqueue(&mut self, deliver_at: u64, link: usize, kind: MsgKind, seq: u64, watts: f64) {
+    /// Queues one grant copy, or an ack when `is_ack`.
+    fn enqueue(&mut self, deliver_at: u64, link: usize, is_ack: bool, seq: u64, watts: f64) {
         let uid = self.next_uid;
         self.next_uid += 1;
         self.queue.push(Reverse(QueueEntry(InFlight {
             deliver_at,
             uid,
             link,
-            kind,
+            is_ack,
             seq,
-            watts,
+            watts: FloatWord(watts),
         })));
     }
 
@@ -739,29 +742,21 @@ impl ControlBus {
             }
             self.queue.pop();
             progressed = true;
-            match msg.kind {
-                MsgKind::Grant => {
-                    self.receive_grant(msg.link, msg.seq, msg.watts, events);
-                    // With retries on, every delivery is acknowledged
-                    // (duplicates and stale copies too: the ack names the
-                    // copy's own sequence number, and the sender ignores
-                    // acks for anything but its pending grant). Acks are
-                    // deterministic and lossless — the asymmetry keeps the
-                    // fault model focused on the downstream grant channel.
-                    // With retries off no pending grant exists for an ack
-                    // to clear, and an ack draws no randomness and yields
-                    // no event.
-                    if self.cfg.retry.enabled() {
-                        self.enqueue(
-                            now + self.cfg.delay_ticks,
-                            msg.link,
-                            MsgKind::Ack,
-                            msg.seq,
-                            0.0,
-                        );
-                    }
-                }
-                MsgKind::Ack => self.receive_ack(msg.link, msg.seq),
+            if msg.is_ack {
+                self.receive_ack(msg.link, msg.seq);
+                continue;
+            }
+            self.receive_grant(msg.link, msg.seq, msg.watts.0, events);
+            // With retries on, every delivery is acknowledged (duplicates
+            // and stale copies too: the ack names the copy's own sequence
+            // number, and the sender ignores acks for anything but its
+            // pending grant). Acks are deterministic and lossless — the
+            // asymmetry keeps the fault model focused on the downstream
+            // grant channel. With retries off no pending grant exists for
+            // an ack to clear, and an ack draws no randomness and yields
+            // no event.
+            if self.cfg.retry.enabled() {
+                self.enqueue(now + self.cfg.delay_ticks, msg.link, true, msg.seq, 0.0);
             }
         }
         progressed
@@ -868,7 +863,7 @@ impl ControlBus {
         let msg = GrantMsg {
             link: LinkId(link),
             seq: pending.seq,
-            watts: pending.watts,
+            watts: pending.watts.0,
         };
         if pending.attempts >= self.cfg.retry.max_attempts {
             self.clear_pending(link);
@@ -889,7 +884,7 @@ impl ControlBus {
         // Retries re-enter the bus fault model (drop/duplicate/delay)
         // but not the plan-level loss draw: the FaultPlan stream must
         // replay identically whether or not retries are enabled.
-        let enqueued = self.transmit(link, pending.seq, pending.watts, now);
+        let enqueued = self.transmit(link, pending.seq, pending.watts.0, now);
         events.push(BusEvent::Retry {
             msg,
             attempt,
@@ -908,31 +903,8 @@ impl ControlBus {
         BusSnapshot {
             rng: self.rng.state().to_vec(),
             next_uid: self.next_uid,
-            links: self
-                .links
-                .iter()
-                .map(|l| LinkSnapshot {
-                    next_seq: l.next_seq,
-                    accepted_seq: l.accepted_seq,
-                    pending: l.pending.map(|p| PendingSnapshot {
-                        seq: p.seq,
-                        watts_bits: p.watts.to_bits(),
-                        attempts: p.attempts,
-                        next_retry_at: p.next_retry_at,
-                    }),
-                })
-                .collect(),
-            queue: queue
-                .iter()
-                .map(|m| InFlightSnapshot {
-                    deliver_at: m.deliver_at,
-                    uid: m.uid,
-                    link: m.link,
-                    is_ack: m.kind == MsgKind::Ack,
-                    seq: m.seq,
-                    watts_bits: m.watts.to_bits(),
-                })
-                .collect(),
+            links: self.links.clone(),
+            queue,
         }
     }
 
@@ -977,30 +949,15 @@ impl ControlBus {
 
     /// Restores state captured by [`ControlBus::snapshot`]. The bus must
     /// have the same links registered (same topology/config; see
-    /// [`ControlBus::fits`]). The retry timer heap is rebuilt from the
-    /// live pending grants (one entry each — stale entries never reach a
-    /// checkpoint).
+    /// [`ControlBus::fits`]). The retry timer heap and the pending count
+    /// are rebuilt from the live pending grants (one timer each — stale
+    /// entries never reach a checkpoint).
     pub fn restore(&mut self, snap: &BusSnapshot) {
         let mut rng_state = [0u64; 4];
-        for (slot, &word) in rng_state.iter_mut().zip(snap.rng.iter()) {
-            *slot = word;
-        }
+        rng_state.copy_from_slice(&snap.rng);
         self.rng = StdRng::from_state(rng_state);
         self.next_uid = snap.next_uid;
-        self.links = snap
-            .links
-            .iter()
-            .map(|l| LinkState {
-                next_seq: l.next_seq,
-                accepted_seq: l.accepted_seq,
-                pending: l.pending.as_ref().map(|p| Pending {
-                    seq: p.seq,
-                    watts: f64::from_bits(p.watts_bits),
-                    attempts: p.attempts,
-                    next_retry_at: p.next_retry_at,
-                }),
-            })
-            .collect();
+        self.links.clone_from(&snap.links);
         self.pending_count = self.links.iter().filter(|l| l.pending.is_some()).count();
         self.retry_timers = self
             .links
@@ -1008,67 +965,8 @@ impl ControlBus {
             .enumerate()
             .filter_map(|(i, l)| l.pending.map(|p| Reverse((p.next_retry_at, i))))
             .collect();
-        self.queue = snap
-            .queue
-            .iter()
-            .map(|m| {
-                Reverse(QueueEntry(InFlight {
-                    deliver_at: m.deliver_at,
-                    uid: m.uid,
-                    link: m.link,
-                    kind: if m.is_ack {
-                        MsgKind::Ack
-                    } else {
-                        MsgKind::Grant
-                    },
-                    seq: m.seq,
-                    watts: f64::from_bits(m.watts_bits),
-                }))
-            })
-            .collect();
+        self.queue = snap.queue.iter().map(|&m| Reverse(QueueEntry(m))).collect();
     }
-}
-
-/// Serializable sender/receiver state of one link (floats bit-packed so
-/// the JSON roundtrip is exact even for non-finite values).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LinkSnapshot {
-    /// Sender's next sequence number.
-    pub next_seq: u64,
-    /// Receiver's highest accepted sequence number.
-    pub accepted_seq: u64,
-    /// Unacknowledged grant awaiting retransmission, if any.
-    pub pending: Option<PendingSnapshot>,
-}
-
-/// Serializable retransmission state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PendingSnapshot {
-    /// Sequence number of the unacked grant.
-    pub seq: u64,
-    /// Granted watts, as IEEE-754 bits.
-    pub watts_bits: u64,
-    /// Retransmissions already performed.
-    pub attempts: u32,
-    /// Tick the next retry timer fires.
-    pub next_retry_at: u64,
-}
-
-/// Serializable in-flight message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct InFlightSnapshot {
-    /// Scheduled delivery tick.
-    pub deliver_at: u64,
-    /// Enqueue counter (tie-break).
-    pub uid: u64,
-    /// Link index.
-    pub link: usize,
-    /// `true` for an acknowledgement, `false` for a grant.
-    pub is_ack: bool,
-    /// Sequence number.
-    pub seq: u64,
-    /// Payload watts, as IEEE-754 bits.
-    pub watts_bits: u64,
 }
 
 /// The bus's full dynamic state (checkpoint section).
@@ -1079,9 +977,9 @@ pub struct BusSnapshot {
     /// Enqueue counter.
     pub next_uid: u64,
     /// Per-link state, registration order.
-    pub links: Vec<LinkSnapshot>,
+    pub links: Vec<LinkState>,
     /// In-flight queue, delivery order.
-    pub queue: Vec<InFlightSnapshot>,
+    pub queue: Vec<InFlight>,
 }
 
 #[cfg(test)]
@@ -1175,9 +1073,9 @@ mod tests {
         // Hand-construct the overtake deterministically: enqueue seq 1
         // with delay, then seq 2 without.
         bus.links[link.0].next_seq = 1;
-        bus.enqueue(5, link.0, MsgKind::Grant, 1, 100.0);
+        bus.enqueue(5, link.0, false, 1, 100.0);
         bus.links[link.0].next_seq = 2;
-        bus.enqueue(3, link.0, MsgKind::Grant, 2, 120.0);
+        bus.enqueue(3, link.0, false, 2, 120.0);
         let events = bus.poll(3);
         assert_eq!(deliveries(&events), vec![(0, 2, 120.0)]);
         let events = bus.poll(5);

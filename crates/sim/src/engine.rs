@@ -14,6 +14,7 @@ use crate::placement::Placement;
 use crate::reduce;
 use crate::thermal::ThermalState;
 use crate::topology::Topology;
+use crate::words::{FloatBits, PStates, VmIds};
 use crate::Result;
 
 /// Per-VM measurements from the last simulated tick.
@@ -45,28 +46,10 @@ pub struct Simulation {
     /// per-tick hot loop (bit-identical to the per-object lookups).
     table: ModelTable,
     traces: Vec<UtilTrace>,
-    placement: Placement,
-    residents: Vec<Vec<VmId>>,
-    on: Vec<bool>,
-    pstate: Vec<PState>,
-    mig_until: Vec<u64>,
-    boot_until: Vec<u64>,
-    tick: u64,
-    // Last-tick observations.
-    util: Vec<f64>,
-    power: Vec<f64>,
+    /// Every checkpointed array and counter but the two below.
+    state: SimState,
+    /// Last-tick per-VM observations (checkpointed as flat words).
     vm_obs: Vec<VmObservation>,
-    // Cumulative accumulators (units: value·ticks).
-    cum_power: Vec<f64>,
-    cum_enc_power: Vec<f64>,
-    cum_util: Vec<f64>,
-    cum_delivered: Vec<f64>,
-    cum_demand: Vec<f64>,
-    // Actuation-conflict diagnosis.
-    pstate_written_this_tick: Vec<bool>,
-    pstate_conflicts: u64,
-    migrations_started: u64,
-    thermal: Option<ThermalState>,
     events: EventLog,
     /// Per-server capacity share of the step in progress, written by the
     /// shards of [`Simulation::step_sharded`] and read by its per-VM
@@ -123,40 +106,42 @@ impl Simulation {
                 traces: traces.len(),
             });
         }
-        let mut residents = vec![Vec::new(); n];
+        let mut residents = vec![VmIds::default(); n];
         for (vm, host) in placement.iter() {
             topo.check_server(host)?;
             residents[host.index()].push(vm);
         }
-        let thermal = cfg.thermal.map(|tc| ThermalState::new(tc, n));
         let num_vms = traces.len();
         let num_enclosures = topo.num_enclosures();
         let table = ModelTable::from_models(&models);
+        let state = SimState {
+            placement,
+            residents,
+            on: vec![true; n],
+            pstate: PStates(vec![PState::P0; n]),
+            mig_until: vec![0; num_vms],
+            boot_until: vec![0; n],
+            tick: 0,
+            util: FloatBits(vec![0.0; n]),
+            power: FloatBits(vec![0.0; n]),
+            cum_power: FloatBits(vec![0.0; n]),
+            cum_enc_power: FloatBits(vec![0.0; num_enclosures]),
+            cum_util: FloatBits(vec![0.0; n]),
+            cum_delivered: FloatBits(vec![0.0; num_vms]),
+            cum_demand: FloatBits(vec![0.0; num_vms]),
+            pstate_written_this_tick: vec![false; n],
+            pstate_conflicts: 0,
+            migrations_started: 0,
+            thermal: cfg.thermal.map(|tc| ThermalState::new(tc, n)),
+        };
         Ok(Self {
             cfg,
             topo,
             models,
             table,
             traces,
-            placement,
-            residents,
-            on: vec![true; n],
-            pstate: vec![PState::P0; n],
-            mig_until: vec![0; num_vms],
-            boot_until: vec![0; n],
-            tick: 0,
-            util: vec![0.0; n],
-            power: vec![0.0; n],
+            state,
             vm_obs: vec![VmObservation::default(); num_vms],
-            cum_power: vec![0.0; n],
-            cum_enc_power: vec![0.0; num_enclosures],
-            cum_util: vec![0.0; n],
-            cum_delivered: vec![0.0; num_vms],
-            cum_demand: vec![0.0; num_vms],
-            pstate_written_this_tick: vec![false; n],
-            pstate_conflicts: 0,
-            migrations_started: 0,
-            thermal,
             events: EventLog::new(4_096),
             scratch_share: vec![0.0; n],
             scratch_enc_sums: vec![0.0; num_enclosures],
@@ -199,7 +184,8 @@ impl Simulation {
         shards: &[Range<usize>],
         shard_encs: &[Range<usize>],
     ) {
-        let t = self.tick;
+        let st = &mut self.state;
+        let t = st.tick;
         let alpha_v = self.cfg.alpha_v;
         let alpha_m = self.cfg.alpha_m;
         let off_power = self.cfg.off_power_watts;
@@ -223,16 +209,16 @@ impl Simulation {
         for (j, trace) in self.traces.iter().enumerate() {
             let d = trace.demand_at(t);
             self.vm_obs[j].demand = d;
-            self.cum_demand[j] += d;
+            st.cum_demand[j] += d;
         }
         // 2. Per-server capacity sharing and power, sharded. Shards get
         //    disjoint `&mut` slices of the per-server arrays plus shared
         //    `&` views of everything they only read (`vm_obs` is read for
         //    `demand` alone, which phase 1 finalized).
-        let mut util = Carve::new(&mut self.util);
-        let mut power = Carve::new(&mut self.power);
-        let mut cum_power = Carve::new(&mut self.cum_power);
-        let mut cum_util = Carve::new(&mut self.cum_util);
+        let mut util = Carve::new(&mut st.util);
+        let mut power = Carve::new(&mut st.power);
+        let mut cum_power = Carve::new(&mut st.cum_power);
+        let mut cum_util = Carve::new(&mut st.cum_util);
         let mut share = Carve::new(&mut self.scratch_share);
         let mut enc_sums = Carve::new(&mut self.scratch_enc_sums);
         let views = shards.iter().zip(shard_encs).map(move |(r, encs)| {
@@ -247,13 +233,13 @@ impl Simulation {
                 enc_sums.take(encs.clone()),
             )
         });
-        let on = &self.on;
-        let pstate = &self.pstate;
-        let boot_until = &self.boot_until;
-        let residents = &self.residents;
+        let on = &st.on;
+        let pstate: &[PState] = &st.pstate;
+        let boot_until = &st.boot_until;
+        let residents = &st.residents;
         let vm_obs = &self.vm_obs;
         let table = &self.table;
-        let thermal = self.thermal.as_ref();
+        let thermal = st.thermal.as_ref();
         let topo = &self.topo;
         for_each_shard(pool, views, |view| {
             let (lo, util, power, cum_power, cum_util, share, enc_lo, enc_sums) = view;
@@ -303,23 +289,23 @@ impl Simulation {
         //    resident list, its host's, and no VM's arithmetic reads
         //    another's, so this matches a per-server walk bit for bit.
         for (j, obs) in self.vm_obs.iter_mut().enumerate() {
-            let granted = obs.demand * self.scratch_share[self.placement.host_of(VmId(j)).index()];
-            let penalty = if self.mig_until[j] > t {
+            let granted = obs.demand * self.scratch_share[st.placement.host_of(VmId(j)).index()];
+            let penalty = if st.mig_until[j] > t {
                 1.0 - alpha_m
             } else {
                 1.0
             };
             obs.granted = granted;
             obs.delivered = granted * penalty;
-            self.cum_delivered[j] += obs.delivered;
+            st.cum_delivered[j] += obs.delivered;
         }
         // 4. Enclosure power (members + shared-infrastructure base).
-        for (cum, &members) in self.cum_enc_power.iter_mut().zip(&self.scratch_enc_sums) {
+        for (cum, &members) in st.cum_enc_power.iter_mut().zip(&self.scratch_enc_sums) {
             *cum += members + self.cfg.enclosure_base_watts;
         }
         // 5. Thermal.
-        if let Some(thermal) = &mut self.thermal {
-            for failed in thermal.step(&self.power) {
+        if let Some(thermal) = &mut st.thermal {
+            for failed in thermal.step(&st.power) {
                 self.events.record(
                     t,
                     Event::ThermalFailover {
@@ -329,10 +315,8 @@ impl Simulation {
             }
         }
         // 6. Bookkeeping.
-        self.pstate_written_this_tick
-            .iter_mut()
-            .for_each(|w| *w = false);
-        self.tick += 1;
+        st.pstate_written_this_tick.fill(false);
+        st.tick += 1;
     }
 
     /// Runs `ticks` steps back to back (no controller interaction).
@@ -344,7 +328,7 @@ impl Simulation {
 
     /// The current tick (number of completed steps).
     pub fn now(&self) -> u64 {
-        self.tick
+        self.state.tick
     }
 
     // ----- structure ------------------------------------------------------
@@ -376,12 +360,12 @@ impl Simulation {
 
     /// The current placement (`X` matrix).
     pub fn placement(&self) -> &Placement {
-        &self.placement
+        &self.state.placement
     }
 
     /// VMs resident on `s`.
     pub fn residents(&self, s: ServerId) -> &[VmId] {
-        &self.residents[s.index()]
+        &self.state.residents[s.index()]
     }
 
     // ----- sensors --------------------------------------------------------
@@ -389,26 +373,26 @@ impl Simulation {
     /// Last-tick CPU utilization of `s` (fraction of *current* capacity).
     #[inline]
     pub fn server_utilization(&self, s: ServerId) -> f64 {
-        self.util[s.index()]
+        self.state.util[s.index()]
     }
 
     /// Last-tick power draw of `s`, watts.
     pub fn server_power(&self, s: ServerId) -> f64 {
-        self.power[s.index()]
+        self.state.power[s.index()]
     }
 
     /// Last-tick power draw of enclosure `e` (members plus the shared
     /// enclosure base power), watts.
     pub fn enclosure_power(&self, e: EnclosureId) -> f64 {
         let servers = self.topo.enclosure_servers(e);
-        reduce::tree_sum_by(servers.len(), |m| self.power[servers[m].index()])
+        reduce::tree_sum_by(servers.len(), |m| self.state.power[servers[m].index()])
             + self.cfg.enclosure_base_watts
     }
 
     /// Last-tick power draw of the whole group (servers plus every
     /// enclosure's base power), watts.
     pub fn group_power(&self) -> f64 {
-        reduce::tree_sum(&self.power)
+        reduce::tree_sum(&self.state.power)
             + self.cfg.enclosure_base_watts * self.topo.num_enclosures() as f64
     }
 
@@ -416,33 +400,35 @@ impl Simulation {
     /// the enclosure base power.
     #[inline]
     pub fn cumulative_enclosure_power(&self, e: EnclosureId) -> f64 {
-        self.cum_enc_power[e.index()]
+        self.state.cum_enc_power[e.index()]
     }
 
     /// Whether `s` is still in its boot window (powered, burning idle
     /// power, not yet delivering work).
     pub fn is_booting(&self, s: ServerId) -> bool {
-        self.is_on(s) && self.boot_until[s.index()] > self.tick
+        self.is_on(s) && self.state.boot_until[s.index()] > self.state.tick
     }
 
     /// Cumulative power of `s` (W·ticks since construction). Diff two
     /// readings to average over a controller epoch.
     #[inline]
     pub fn cumulative_power(&self, s: ServerId) -> f64 {
-        self.cum_power[s.index()]
+        self.state.cum_power[s.index()]
     }
 
     /// Cumulative utilization of `s` (util·ticks since construction).
     #[inline]
     pub fn cumulative_utilization(&self, s: ServerId) -> f64 {
-        self.cum_util[s.index()]
+        self.state.cum_util[s.index()]
     }
 
     /// Total energy consumed by the group so far (W·ticks), including
     /// enclosure base power.
     pub fn total_energy(&self) -> f64 {
-        reduce::tree_sum(&self.cum_power)
-            + self.cfg.enclosure_base_watts * self.topo.num_enclosures() as f64 * self.tick as f64
+        reduce::tree_sum(&self.state.cum_power)
+            + self.cfg.enclosure_base_watts
+                * self.topo.num_enclosures() as f64
+                * self.state.tick as f64
     }
 
     /// Last-tick observation for `vm`.
@@ -452,12 +438,12 @@ impl Simulation {
 
     /// Cumulative work demanded by `vm` (capacity·ticks).
     pub fn cumulative_demand(&self, vm: VmId) -> f64 {
-        self.cum_demand[vm.index()]
+        self.state.cum_demand[vm.index()]
     }
 
     /// Cumulative work delivered for `vm` (after migration penalty).
     pub fn cumulative_delivered(&self, vm: VmId) -> f64 {
-        self.cum_delivered[vm.index()]
+        self.state.cum_delivered[vm.index()]
     }
 
     /// *Real* utilization estimate for `vm`: the share of a full-speed
@@ -481,12 +467,12 @@ impl Simulation {
     /// Number of same-tick conflicting P-state writes observed so far —
     /// the "power struggle" signature of uncoordinated deployments.
     pub fn pstate_conflicts(&self) -> u64 {
-        self.pstate_conflicts
+        self.state.pstate_conflicts
     }
 
     /// Number of migrations started so far.
     pub fn migrations_started(&self) -> u64 {
-        self.migrations_started
+        self.state.migrations_started
     }
 
     // ----- actuators ------------------------------------------------------
@@ -494,7 +480,7 @@ impl Simulation {
     /// Current P-state of `s`.
     #[inline]
     pub fn pstate(&self, s: ServerId) -> PState {
-        self.pstate[s.index()]
+        self.state.pstate[s.index()]
     }
 
     /// Writes the P-state of `s`. Multiple writes within the same tick are
@@ -503,34 +489,34 @@ impl Simulation {
     pub fn set_pstate(&mut self, s: ServerId, p: PState) {
         let i = s.index();
         let p = PState(p.index().min(self.table.num_pstates(i) - 1));
-        if self.pstate_written_this_tick[i] && self.pstate[i] != p {
-            self.pstate_conflicts += 1;
+        if self.state.pstate_written_this_tick[i] && self.state.pstate[i] != p {
+            self.state.pstate_conflicts += 1;
             self.events
-                .record(self.tick, Event::PStateConflict { server: s });
+                .record(self.state.tick, Event::PStateConflict { server: s });
         }
-        self.pstate_written_this_tick[i] = true;
-        self.pstate[i] = p;
+        self.state.pstate_written_this_tick[i] = true;
+        self.state.pstate[i] = p;
     }
 
     /// Whether `s` is powered on and has not tripped thermal failover.
     #[inline]
     pub fn is_on(&self, s: ServerId) -> bool {
-        powered(&self.on, self.thermal.as_ref(), s.index())
+        powered(&self.state.on, self.state.thermal.as_ref(), s.index())
     }
 
     /// Powers `s` off. Fails if VMs are still placed on it — the VMC must
     /// consolidate away first.
     pub fn power_off(&mut self, s: ServerId) -> Result<()> {
         self.topo.check_server(s)?;
-        let vms = self.residents[s.index()].len();
+        let vms = self.state.residents[s.index()].len();
         if vms > 0 {
             return Err(SimError::ServerNotEmpty { server: s, vms });
         }
-        if self.on[s.index()] {
+        if self.state.on[s.index()] {
             self.events
-                .record(self.tick, Event::PoweredOff { server: s });
+                .record(self.state.tick, Event::PoweredOff { server: s });
         }
-        self.on[s.index()] = false;
+        self.state.on[s.index()] = false;
         Ok(())
     }
 
@@ -538,13 +524,13 @@ impl Simulation {
     /// idle power for `boot_delay_ticks` before delivering work.
     pub fn power_on(&mut self, s: ServerId) -> Result<()> {
         self.topo.check_server(s)?;
-        if !self.on[s.index()] {
-            self.boot_until[s.index()] = self.tick + self.cfg.boot_delay_ticks;
+        if !self.state.on[s.index()] {
+            self.state.boot_until[s.index()] = self.state.tick + self.cfg.boot_delay_ticks;
             self.events
-                .record(self.tick, Event::PoweredOn { server: s });
+                .record(self.state.tick, Event::PoweredOn { server: s });
         }
-        self.on[s.index()] = true;
-        self.pstate[s.index()] = PState::P0;
+        self.state.on[s.index()] = true;
+        self.state.pstate[s.index()] = PState::P0;
         Ok(())
     }
 
@@ -558,17 +544,17 @@ impl Simulation {
         if !self.is_on(to) {
             return Err(SimError::ServerOff(to));
         }
-        let from = self.placement.host_of(vm);
+        let from = self.state.placement.host_of(vm);
         if from == to {
             return Ok(());
         }
-        self.residents[from.index()].retain(|&v| v != vm);
-        self.residents[to.index()].push(vm);
-        self.placement.assign(vm, to);
-        self.mig_until[vm.index()] = self.tick + self.cfg.migration_ticks;
-        self.migrations_started += 1;
+        self.state.residents[from.index()].retain(|&v| v != vm);
+        self.state.residents[to.index()].push(vm);
+        self.state.placement.assign(vm, to);
+        self.state.mig_until[vm.index()] = self.state.tick + self.cfg.migration_ticks;
+        self.state.migrations_started += 1;
         self.events
-            .record(self.tick, Event::MigrationStarted { vm, from, to });
+            .record(self.state.tick, Event::MigrationStarted { vm, from, to });
         Ok(())
     }
 
@@ -593,17 +579,17 @@ impl Simulation {
     pub fn epoch_shards(&mut self) -> (SimEpochView<'_>, ActuatorCarve<'_>) {
         let carve = ActuatorCarve {
             table: &self.table,
-            pstate: Carve::new(&mut self.pstate),
-            written: Carve::new(&mut self.pstate_written_this_tick),
+            pstate: Carve::new(&mut self.state.pstate),
+            written: Carve::new(&mut self.state.pstate_written_this_tick),
         };
         let view = SimEpochView {
-            on: &self.on,
-            thermal: self.thermal.as_ref(),
-            util: &self.util,
-            cum_power: &self.cum_power,
-            cum_enc_power: &self.cum_enc_power,
-            cum_util: &self.cum_util,
-            tick: self.tick,
+            on: &self.state.on,
+            thermal: self.state.thermal.as_ref(),
+            util: &self.state.util,
+            cum_power: &self.state.cum_power,
+            cum_enc_power: &self.state.cum_enc_power,
+            cum_util: &self.state.cum_util,
+            tick: self.state.tick,
         };
         (view, carve)
     }
@@ -613,13 +599,13 @@ impl Simulation {
     /// no actuator shards.
     pub fn epoch_view(&self) -> SimEpochView<'_> {
         SimEpochView {
-            on: &self.on,
-            thermal: self.thermal.as_ref(),
-            util: &self.util,
-            cum_power: &self.cum_power,
-            cum_enc_power: &self.cum_enc_power,
-            cum_util: &self.cum_util,
-            tick: self.tick,
+            on: &self.state.on,
+            thermal: self.state.thermal.as_ref(),
+            util: &self.state.util,
+            cum_power: &self.state.cum_power,
+            cum_enc_power: &self.state.cum_enc_power,
+            cum_util: &self.state.cum_util,
+            tick: self.state.tick,
         }
     }
 
@@ -630,10 +616,10 @@ impl Simulation {
     pub fn vm_view(&self) -> VmView<'_> {
         VmView {
             obs: &self.vm_obs,
-            placement: &self.placement,
-            on: &self.on,
-            thermal: self.thermal.as_ref(),
-            pstate: &self.pstate,
+            placement: &self.state.placement,
+            on: &self.state.on,
+            thermal: self.state.thermal.as_ref(),
+            pstate: &self.state.pstate,
             table: &self.table,
         }
     }
@@ -647,10 +633,10 @@ impl Simulation {
         if effects.conflicts.is_empty() {
             return;
         }
-        self.pstate_conflicts += effects.conflicts.len() as u64;
+        self.state.pstate_conflicts += effects.conflicts.len() as u64;
         for server in effects.conflicts.drain(..) {
             self.events
-                .record(self.tick, Event::PStateConflict { server });
+                .record(self.state.tick, Event::PStateConflict { server });
         }
     }
 
@@ -658,12 +644,13 @@ impl Simulation {
 
     /// The thermal state, if thermal tracking is enabled.
     pub fn thermal(&self) -> Option<&ThermalState> {
-        self.thermal.as_ref()
+        self.state.thermal.as_ref()
     }
 
     /// Temperature of `s` in °C (ambient if thermal tracking is off).
     pub fn temperature_c(&self, s: ServerId) -> f64 {
-        self.thermal
+        self.state
+            .thermal
             .as_ref()
             .map(|t| t.temperature_c(s.index()))
             .unwrap_or(25.0)
@@ -671,7 +658,8 @@ impl Simulation {
 
     /// Total thermal failover events so far.
     pub fn failover_events(&self) -> usize {
-        self.thermal
+        self.state
+            .thermal
             .as_ref()
             .map(|t| t.failover_events())
             .unwrap_or(0)
@@ -679,49 +667,22 @@ impl Simulation {
 
     // ----- checkpointing --------------------------------------------------
 
-    /// Captures the simulator's full dynamic state for checkpointing.
+    /// Captures the simulator's full dynamic state for checkpointing: a
+    /// clone of its state, the per-VM observations as flat words and the
+    /// event ring.
     ///
     /// Static structure (topology, models, traces, config) is *not*
     /// captured — a restore target is rebuilt from the same experiment
-    /// configuration first. Float vectors are bit-packed so the JSON
-    /// roundtrip is exact; `residents` is serialized verbatim because
-    /// per-server VM insertion order determines float summation order in
-    /// the hot loop, which bit-exactness depends on.
+    /// configuration first.
     pub fn snapshot(&self) -> SimSnapshot {
         SimSnapshot {
-            placement: self.placement.clone(),
-            residents: self
-                .residents
-                .iter()
-                .map(|r| r.iter().map(|vm| vm.index()).collect())
-                .collect(),
-            on: self.on.clone(),
-            pstate: self.pstate.iter().map(|p| p.index()).collect(),
-            mig_until: self.mig_until.clone(),
-            boot_until: self.boot_until.clone(),
-            tick: self.tick,
-            util_bits: pack_bits(&self.util),
-            power_bits: pack_bits(&self.power),
-            vm_obs_bits: self
-                .vm_obs
-                .iter()
-                .flat_map(|o| {
-                    [
-                        o.demand.to_bits(),
-                        o.granted.to_bits(),
-                        o.delivered.to_bits(),
-                    ]
-                })
-                .collect(),
-            cum_power_bits: pack_bits(&self.cum_power),
-            cum_enc_power_bits: pack_bits(&self.cum_enc_power),
-            cum_util_bits: pack_bits(&self.cum_util),
-            cum_delivered_bits: pack_bits(&self.cum_delivered),
-            cum_demand_bits: pack_bits(&self.cum_demand),
-            pstate_written_this_tick: self.pstate_written_this_tick.clone(),
-            pstate_conflicts: self.pstate_conflicts,
-            migrations_started: self.migrations_started,
-            thermal: self.thermal.clone(),
+            state: self.state.clone(),
+            vm_obs: FloatBits(
+                self.vm_obs
+                    .iter()
+                    .flat_map(|o| [o.demand, o.granted, o.delivered])
+                    .collect(),
+            ),
             events: self.events.snapshot(),
         }
     }
@@ -736,34 +697,35 @@ impl Simulation {
     pub(crate) fn fits(&self, snap: &SimSnapshot) -> Result<()> {
         let servers = self.topo.num_servers();
         let vms = self.num_vms();
-        let thermal_servers = if self.thermal.is_some() { servers } else { 0 };
-        let (temps, failed) = snap.thermal.as_ref().map_or((0, 0), ThermalState::shape);
+        let thermal_servers = self.state.thermal.as_ref().map_or(0, |_| servers);
+        let st = &snap.state;
+        let (temps, failed) = st.thermal.as_ref().map_or((0, 0), ThermalState::shape);
         let lengths = [
-            ("placement.host", snap.placement.num_vms(), vms),
-            ("residents", snap.residents.len(), servers),
-            ("on", snap.on.len(), servers),
-            ("pstate", snap.pstate.len(), servers),
-            ("mig_until", snap.mig_until.len(), vms),
-            ("boot_until", snap.boot_until.len(), servers),
-            ("util_bits", snap.util_bits.len(), servers),
-            ("power_bits", snap.power_bits.len(), servers),
-            ("vm_obs_bits", snap.vm_obs_bits.len(), 3 * vms),
-            ("cum_power_bits", snap.cum_power_bits.len(), servers),
+            ("state.placement.host", st.placement.num_vms(), vms),
+            ("state.residents", st.residents.len(), servers),
+            ("state.on", st.on.len(), servers),
+            ("state.pstate", st.pstate.len(), servers),
+            ("state.mig_until", st.mig_until.len(), vms),
+            ("state.boot_until", st.boot_until.len(), servers),
+            ("state.util", st.util.len(), servers),
+            ("state.power", st.power.len(), servers),
+            ("state.cum_power", st.cum_power.len(), servers),
             (
-                "cum_enc_power_bits",
-                snap.cum_enc_power_bits.len(),
+                "state.cum_enc_power",
+                st.cum_enc_power.len(),
                 self.topo.num_enclosures(),
             ),
-            ("cum_util_bits", snap.cum_util_bits.len(), servers),
-            ("cum_delivered_bits", snap.cum_delivered_bits.len(), vms),
-            ("cum_demand_bits", snap.cum_demand_bits.len(), vms),
+            ("state.cum_util", st.cum_util.len(), servers),
+            ("state.cum_delivered", st.cum_delivered.len(), vms),
+            ("state.cum_demand", st.cum_demand.len(), vms),
             (
-                "pstate_written_this_tick",
-                snap.pstate_written_this_tick.len(),
+                "state.pstate_written_this_tick",
+                st.pstate_written_this_tick.len(),
                 servers,
             ),
-            ("thermal.temps_c", temps, thermal_servers),
-            ("thermal.failed", failed, thermal_servers),
+            ("state.thermal.temps_c", temps, thermal_servers),
+            ("state.thermal.failed", failed, thermal_servers),
+            ("vm_obs", snap.vm_obs.len(), 3 * vms),
         ];
         if let Some(&(field, found, expected)) = lengths.iter().find(|(_, f, e)| f != e) {
             return Err(SimError::SnapshotLength {
@@ -773,28 +735,29 @@ impl Simulation {
             });
         }
         let entry = |field, index| Err(SimError::SnapshotEntry { field, index });
-        if let Some(s) = (0..servers).find(|&s| snap.pstate[s] >= self.table.num_pstates(s)) {
-            return entry("pstate", s);
+        if let Some(s) = (0..servers).find(|&s| st.pstate[s].index() >= self.table.num_pstates(s)) {
+            return entry("state.pstate", s);
         }
-        if let Some((vm, _)) = snap
+        if let Some((vm, _)) = st
             .placement
             .iter()
             .find(|(_, host)| host.index() >= servers)
         {
-            return entry("placement.host", vm.index());
+            return entry("state.placement.host", vm.index());
         }
         let mut listed = vec![false; vms];
-        for (s, list) in snap.residents.iter().enumerate() {
-            for &vm in list {
-                if vm >= vms || listed[vm] || snap.placement.host_of(VmId(vm)).index() != s {
-                    return entry("residents", s);
+        for (s, list) in st.residents.iter().enumerate() {
+            for &vm in list.iter() {
+                let j = vm.index();
+                if j >= vms || listed[j] || st.placement.host_of(vm).index() != s {
+                    return entry("state.residents", s);
                 }
-                listed[vm] = true;
+                listed[j] = true;
             }
         }
         if let Some(vm) = listed.iter().position(|&l| !l) {
             // Its host's resident list leaves it out.
-            return entry("placement.host", vm);
+            return entry("state.placement.host", vm);
         }
         Ok(())
     }
@@ -816,39 +779,17 @@ impl Simulation {
                 expected: self.events.capacity(),
             }));
         }
-        let events = EventLog::from_snapshot(&snap.events).map_err(SimError::EventLog)?;
-        self.placement = snap.placement.clone();
-        self.residents = snap
-            .residents
-            .iter()
-            .map(|r| r.iter().map(|&vm| VmId(vm)).collect())
-            .collect();
-        self.on = snap.on.clone();
-        self.pstate = snap.pstate.iter().map(|&p| PState(p)).collect();
-        self.mig_until = snap.mig_until.clone();
-        self.boot_until = snap.boot_until.clone();
-        self.tick = snap.tick;
-        self.util = unpack_bits(&snap.util_bits);
-        self.power = unpack_bits(&snap.power_bits);
+        self.events = EventLog::from_snapshot(&snap.events).map_err(SimError::EventLog)?;
+        self.state.clone_from(&snap.state);
         self.vm_obs = snap
-            .vm_obs_bits
+            .vm_obs
             .chunks_exact(3)
             .map(|c| VmObservation {
-                demand: f64::from_bits(c[0]),
-                granted: f64::from_bits(c[1]),
-                delivered: f64::from_bits(c[2]),
+                demand: c[0],
+                granted: c[1],
+                delivered: c[2],
             })
             .collect();
-        self.cum_power = unpack_bits(&snap.cum_power_bits);
-        self.cum_enc_power = unpack_bits(&snap.cum_enc_power_bits);
-        self.cum_util = unpack_bits(&snap.cum_util_bits);
-        self.cum_delivered = unpack_bits(&snap.cum_delivered_bits);
-        self.cum_demand = unpack_bits(&snap.cum_demand_bits);
-        self.pstate_written_this_tick = snap.pstate_written_this_tick.clone();
-        self.pstate_conflicts = snap.pstate_conflicts;
-        self.migrations_started = snap.migrations_started;
-        self.thermal = snap.thermal.clone();
-        self.events = events;
         Ok(())
     }
 }
@@ -1036,48 +977,40 @@ impl ShardEffects {
     }
 }
 
-fn pack_bits(values: &[f64]) -> Vec<u64> {
-    values.iter().map(|v| v.to_bits()).collect()
-}
-
-fn unpack_bits(bits: &[u64]) -> Vec<f64> {
-    bits.iter().map(|&b| f64::from_bits(b)).collect()
-}
-
-/// The simulator's full dynamic state (checkpoint section). All floats
-/// are stored as IEEE-754 bit patterns so serialization is lossless.
+/// The simulator's checkpointed state, kept whole by [`Simulation`]:
+/// floats as IEEE-754 bit words, P-states and VM ids as their indices.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct SimSnapshot {
+pub struct SimState {
     /// The `X` matrix.
     pub placement: Placement,
-    /// Per-server resident VM lists, insertion order preserved.
-    pub residents: Vec<Vec<usize>>,
+    /// Per-server resident VM lists, insertion order preserved: it
+    /// fixes the float summation order of the hot loop, which
+    /// bit-exactness depends on.
+    pub residents: Vec<VmIds>,
     /// Per-server power switch.
     pub on: Vec<bool>,
-    /// Per-server P-state indices.
-    pub pstate: Vec<usize>,
+    /// Per-server P-states.
+    pub pstate: PStates,
     /// Per-VM migration-penalty end ticks.
     pub mig_until: Vec<u64>,
     /// Per-server boot-window end ticks.
     pub boot_until: Vec<u64>,
     /// Completed steps.
     pub tick: u64,
-    /// Last-tick utilization, bit-packed.
-    pub util_bits: Vec<u64>,
-    /// Last-tick power, bit-packed.
-    pub power_bits: Vec<u64>,
-    /// Per-VM observations, three words (demand, granted, delivered) each.
-    pub vm_obs_bits: Vec<u64>,
-    /// Cumulative server power, bit-packed.
-    pub cum_power_bits: Vec<u64>,
-    /// Cumulative enclosure power, bit-packed.
-    pub cum_enc_power_bits: Vec<u64>,
-    /// Cumulative utilization, bit-packed.
-    pub cum_util_bits: Vec<u64>,
-    /// Cumulative delivered work, bit-packed.
-    pub cum_delivered_bits: Vec<u64>,
-    /// Cumulative demand, bit-packed.
-    pub cum_demand_bits: Vec<u64>,
+    /// Last-tick utilization.
+    pub util: FloatBits,
+    /// Last-tick power.
+    pub power: FloatBits,
+    /// Cumulative server power.
+    pub cum_power: FloatBits,
+    /// Cumulative enclosure power.
+    pub cum_enc_power: FloatBits,
+    /// Cumulative utilization.
+    pub cum_util: FloatBits,
+    /// Cumulative delivered work.
+    pub cum_delivered: FloatBits,
+    /// Cumulative demand.
+    pub cum_demand: FloatBits,
     /// Same-tick P-state write flags.
     pub pstate_written_this_tick: Vec<bool>,
     /// Conflicting-write counter.
@@ -1086,6 +1019,15 @@ pub struct SimSnapshot {
     pub migrations_started: u64,
     /// Thermal state, if tracking is enabled.
     pub thermal: Option<ThermalState>,
+}
+
+/// The simulator's full dynamic state (checkpoint section).
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct SimSnapshot {
+    /// Every array and counter the simulator keeps in its state.
+    pub state: SimState,
+    /// Per-VM observations, three words (demand, granted, delivered) each.
+    pub vm_obs: FloatBits,
     /// The structured event log as flat words.
     pub events: EventLogSnapshot,
 }
@@ -1399,49 +1341,50 @@ mod tests {
         let edits: [(Edit, SimError); 6] = [
             (
                 |s| {
-                    s.vm_obs_bits.pop();
+                    s.vm_obs.pop();
                 },
                 SimError::SnapshotLength {
-                    field: "vm_obs_bits",
+                    field: "vm_obs",
                     found: 8,
                     expected: 9,
                 },
             ),
             (
-                |s| s.on.push(true),
+                |s| s.state.on.push(true),
                 SimError::SnapshotLength {
-                    field: "on",
+                    field: "state.on",
                     found: 4,
                     expected: 3,
                 },
             ),
             (
-                |s| s.pstate[2] = 99,
+                |s| s.state.pstate[2] = PState(99),
                 SimError::SnapshotEntry {
-                    field: "pstate",
+                    field: "state.pstate",
                     index: 2,
                 },
             ),
             (
-                |s| s.residents[0][0] = 7,
+                |s| s.state.residents[0][0] = VmId(7),
                 SimError::SnapshotEntry {
-                    field: "residents",
+                    field: "state.residents",
                     index: 0,
                 },
             ),
             (
-                |s| s.residents.swap(0, 1),
+                |s| s.state.residents.swap(0, 1),
                 SimError::SnapshotEntry {
-                    field: "residents",
+                    field: "state.residents",
                     index: 0,
                 },
             ),
             (
                 |s| {
-                    s.placement = Placement::from_hosts(vec![ServerId(0), ServerId(9), ServerId(2)])
+                    s.state.placement =
+                        Placement::from_hosts(vec![ServerId(0), ServerId(9), ServerId(2)])
                 },
                 SimError::SnapshotEntry {
-                    field: "placement.host",
+                    field: "state.placement.host",
                     index: 1,
                 },
             ),

@@ -31,6 +31,7 @@ use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 use crate::par::Carve;
+use crate::words::FloatBits;
 
 /// A sensor channel at the controller ingestion boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -329,38 +330,23 @@ impl Reading {
     }
 }
 
-/// Dense per-slot sensor-fault state, channels concatenated in fixed
-/// order: `ServerPower` (n slots), `ServerUtilization` (n),
-/// `EnclosurePower` (E), `GroupChildPower` (E + S standalone servers).
-/// The slot index doubles as the CounterRng stream id, so every sensor
-/// owns a private draw stream.
-#[derive(Debug, Clone, PartialEq)]
-struct SensorState {
+/// The layout of the dense per-slot sensor-fault state, channels
+/// concatenated in fixed order: `ServerPower` (n slots),
+/// `ServerUtilization` (n), `EnclosurePower` (E), `GroupChildPower`
+/// (E + S standalone servers). The slot index doubles as the CounterRng
+/// stream id, so every sensor owns a private draw stream.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct SensorLayout {
     num_servers: usize,
     num_enclosures: usize,
     /// GM children: enclosures first, then standalone servers.
     num_children: usize,
-    /// Per-slot position in the counter-based draw stream.
-    ctr: Vec<u64>,
-    /// Per-slot thaw tick; `0` means the sensor is not stuck (a stuck
-    /// window always ends at `tick + stuck_ticks ≥ 1`).
-    stuck_until: Vec<u64>,
-    /// Per-slot held value while stuck (stale once thawed).
-    stuck_val: Vec<f64>,
 }
 
-impl SensorState {
-    fn new(num_servers: usize, num_enclosures: usize, num_standalone: usize) -> Self {
-        let num_children = num_enclosures + num_standalone;
-        let total = 2 * num_servers + num_enclosures + num_children;
-        Self {
-            num_servers,
-            num_enclosures,
-            num_children,
-            ctr: vec![0; total],
-            stuck_until: vec![0; total],
-            stuck_val: vec![0.0; total],
-        }
+impl SensorLayout {
+    /// Total number of sensor slots.
+    fn slots(&self) -> usize {
+        2 * self.num_servers + self.num_enclosures + self.num_children
     }
 
     /// First slot of `channel` in the concatenated layout.
@@ -394,19 +380,11 @@ impl SensorState {
         self.base(channel) + index
     }
 
-    /// Mutable views of one channel's slot state, plus its slot base.
-    fn channel_slices(
-        &mut self,
-        channel: SensorChannel,
-    ) -> (usize, &mut [u64], &mut [u64], &mut [f64]) {
+    /// The slots `channel` owns.
+    #[inline]
+    fn slots_of(&self, channel: SensorChannel) -> Range<usize> {
         let base = self.base(channel);
-        let cap = self.cap(channel);
-        (
-            base,
-            &mut self.ctr[base..base + cap],
-            &mut self.stuck_until[base..base + cap],
-            &mut self.stuck_val[base..base + cap],
-        )
+        base..base + self.cap(channel)
     }
 }
 
@@ -484,16 +462,11 @@ pub struct FaultInjector {
     sensor_on: bool,
     actuator_on: bool,
     messages_on: bool,
-    /// Per-slot sensor draw counters and stuck windows.
-    sensors: SensorState,
-    /// Jammed actuators: per server, first tick writes work again.
-    stuck_actuators: Vec<u64>,
-    /// Per-server position in the counter-based actuator-jam stream.
-    actuator_ctr: Vec<u64>,
-    /// Per-link position in the counter-based message-loss stream
-    /// (one slot per grant edge: EM→member and GM→standalone links are
-    /// server-shaped, GM→EM links enclosure-shaped).
-    message_ctr: Vec<u64>,
+    /// Where each sensor channel's slots sit in the state arrays.
+    sensors: SensorLayout,
+    /// Per-slot sensor draw counters and stuck windows, jammed
+    /// actuators and the per-server and per-link draw counters.
+    state: InjectorSnapshot,
 }
 
 impl FaultInjector {
@@ -509,6 +482,12 @@ impl FaultInjector {
         num_standalone: usize,
     ) -> Self {
         let plan = plan.clone().normalized();
+        let sensors = SensorLayout {
+            num_servers,
+            num_enclosures,
+            num_children: num_enclosures + num_standalone,
+        };
+        let slots = sensors.slots();
         Self {
             actuator_rng: CounterRng::new(plan.seed ^ 0x6e70_735f_6163_7475),
             sensor_rng: CounterRng::new(plan.seed ^ 0x6e70_735f_7365_6e73),
@@ -516,13 +495,18 @@ impl FaultInjector {
             sensor_on: plan.sensor.is_enabled(),
             actuator_on: plan.actuator.stuck_prob > 0.0 && plan.actuator.stuck_ticks > 0,
             messages_on: plan.actuator.message_loss_prob > 0.0,
-            sensors: SensorState::new(num_servers, num_enclosures, num_standalone),
-            stuck_actuators: vec![0; num_servers],
-            actuator_ctr: vec![0; num_servers],
-            // One message-loss stream per grant edge: every server has
-            // exactly one inbound grant link (EM→member or GM→standalone)
-            // and every enclosure one GM→EM link.
-            message_ctr: vec![0; num_servers + num_enclosures],
+            sensors,
+            state: InjectorSnapshot {
+                sensor_ctr: vec![0; slots],
+                sensor_stuck_until: vec![0; slots],
+                sensor_stuck_val: FloatBits(vec![0.0; slots]),
+                stuck_actuators: vec![0; num_servers],
+                actuator_ctr: vec![0; num_servers],
+                // One message-loss stream per grant edge: every server
+                // has exactly one inbound grant link (EM→member or
+                // GM→standalone) and every enclosure one GM→EM link.
+                message_ctr: vec![0; num_servers + num_enclosures],
+            },
             plan,
         }
     }
@@ -579,9 +563,9 @@ impl FaultInjector {
             self.sensor_rng,
             &self.plan.sensor,
             slot as u64,
-            &mut self.sensors.ctr[slot],
-            &mut self.sensors.stuck_until[slot],
-            &mut self.sensors.stuck_val[slot],
+            &mut self.state.sensor_ctr[slot],
+            &mut self.state.sensor_stuck_until[slot],
+            &mut self.state.sensor_stuck_val[slot],
             tick,
             value,
         )
@@ -598,19 +582,19 @@ impl FaultInjector {
     /// parallel shards while staying bit-identical to sequential order.
     #[inline]
     pub fn pstate_write_blocked(&mut self, server: usize, tick: u64) -> bool {
-        if !self.actuator_on || server >= self.stuck_actuators.len() {
+        if !self.actuator_on || server >= self.state.stuck_actuators.len() {
             return false;
         }
-        if tick < self.stuck_actuators[server] {
+        if tick < self.state.stuck_actuators[server] {
             return true;
         }
-        let ctr = self.actuator_ctr[server];
-        self.actuator_ctr[server] = ctr + 1;
+        let ctr = self.state.actuator_ctr[server];
+        self.state.actuator_ctr[server] = ctr + 1;
         if self
             .actuator_rng
             .bool_at(server as u64, ctr, self.plan.actuator.stuck_prob)
         {
-            self.stuck_actuators[server] = tick + self.plan.actuator.stuck_ticks;
+            self.state.stuck_actuators[server] = tick + self.plan.actuator.stuck_ticks;
             return true;
         }
         false
@@ -628,8 +612,8 @@ impl FaultInjector {
             active: self.actuator_on,
             spec: self.plan.actuator,
             rng: self.actuator_rng,
-            thaw: Carve::new(&mut self.stuck_actuators),
-            ctr: Carve::new(&mut self.actuator_ctr),
+            thaw: Carve::new(&mut self.state.stuck_actuators),
+            ctr: Carve::new(&mut self.state.actuator_ctr),
         }
     }
 
@@ -638,29 +622,31 @@ impl FaultInjector {
     /// draws. The sensor carver is indexed in `channel`'s own space:
     /// server ranges for `ServerPower` (SM) and `ServerUtilization` (EC),
     /// enclosure ranges for `EnclosurePower` (EM, whose shards clamp
-    /// their servers but sense their enclosures).
+    /// their servers but sense their enclosures). The plan's outage
+    /// windows come along, for the workers' offline checks.
     pub fn draw_shards(
         &mut self,
         channel: SensorChannel,
-    ) -> (ActuatorDrawCarve<'_>, SensorCarve<'_>) {
+    ) -> (ActuatorDrawCarve<'_>, SensorCarve<'_>, Outages<'_>) {
+        let st = &mut self.state;
         let act = ActuatorDrawCarve {
             active: self.actuator_on,
             spec: self.plan.actuator,
             rng: self.actuator_rng,
-            thaw: Carve::new(&mut self.stuck_actuators),
-            ctr: Carve::new(&mut self.actuator_ctr),
+            thaw: Carve::new(&mut st.stuck_actuators),
+            ctr: Carve::new(&mut st.actuator_ctr),
         };
-        let (base, ctr, until, val) = self.sensors.channel_slices(channel);
+        let slots = self.sensors.slots_of(channel);
         let sense = SensorCarve::new(
-            base,
-            ctr,
-            until,
-            val,
+            slots.start,
+            &mut st.sensor_ctr[slots.clone()],
+            &mut st.sensor_stuck_until[slots.clone()],
+            &mut st.sensor_stuck_val[slots],
             self.sensor_on,
             self.plan.sensor,
             self.sensor_rng,
         );
-        (act, sense)
+        (act, sense, Outages(&self.plan.outages))
     }
 
     /// Carves the `GroupChildPower` sense state for the GM window pass:
@@ -668,15 +654,16 @@ impl FaultInjector {
     /// one over the standalone children (standalone ordinal space — the
     /// standalone child `k` is GM child `num_enclosures + k`).
     pub fn gm_child_shards(&mut self) -> (SensorCarve<'_>, SensorCarve<'_>) {
-        let num_enclosures = self.sensors.num_enclosures;
-        let (base, ctr, until, val) = self.sensors.channel_slices(SensorChannel::GroupChildPower);
-        let (ctr_e, ctr_s) = ctr.split_at_mut(num_enclosures);
-        let (until_e, until_s) = until.split_at_mut(num_enclosures);
-        let (val_e, val_s) = val.split_at_mut(num_enclosures);
+        let st = &mut self.state;
+        let slots = self.sensors.slots_of(SensorChannel::GroupChildPower);
+        let split = self.sensors.num_enclosures;
+        let (ctr_e, ctr_s) = st.sensor_ctr[slots.clone()].split_at_mut(split);
+        let (until_e, until_s) = st.sensor_stuck_until[slots.clone()].split_at_mut(split);
+        let (val_e, val_s) = st.sensor_stuck_val[slots.clone()].split_at_mut(split);
         let (on, spec, rng) = (self.sensor_on, self.plan.sensor, self.sensor_rng);
         (
-            SensorCarve::new(base, ctr_e, until_e, val_e, on, spec, rng),
-            SensorCarve::new(base + num_enclosures, ctr_s, until_s, val_s, on, spec, rng),
+            SensorCarve::new(slots.start, ctr_e, until_e, val_e, on, spec, rng),
+            SensorCarve::new(slots.start + split, ctr_s, until_s, val_s, on, spec, rng),
         )
     }
 
@@ -689,11 +676,11 @@ impl FaultInjector {
     /// replay of the parallel EM reduction needs no sequential pre-pass.
     #[inline]
     pub fn budget_message_lost(&mut self, link: usize) -> bool {
-        if !self.messages_on || link >= self.message_ctr.len() {
+        if !self.messages_on || link >= self.state.message_ctr.len() {
             return false;
         }
-        let ctr = self.message_ctr[link];
-        self.message_ctr[link] = ctr + 1;
+        let ctr = self.state.message_ctr[link];
+        self.state.message_ctr[link] = ctr + 1;
         self.message_rng
             .bool_at(link as u64, ctr, self.plan.actuator.message_loss_prob)
     }
@@ -705,7 +692,8 @@ impl FaultInjector {
     /// fault stats) from the electrical-cap check.
     #[inline]
     pub fn actuator_jammed(&self, server: usize, tick: u64) -> bool {
-        self.stuck_actuators
+        self.state
+            .stuck_actuators
             .get(server)
             .is_some_and(|&thaw| tick < thaw)
     }
@@ -713,26 +701,15 @@ impl FaultInjector {
     /// Whether instance `index` of `layer` is offline at `tick`.
     #[inline]
     pub fn offline(&self, layer: ControllerLayer, index: usize, tick: u64) -> bool {
-        self.plan
-            .outages
-            .iter()
-            .any(|w| w.covers(layer, index, tick))
+        Outages(&self.plan.outages).offline(layer, index, tick)
     }
 
     /// Captures the injector's dynamic state (per-slot draw counters,
-    /// stuck windows, jammed actuators) for checkpointing. Held sensor
-    /// values are bit-packed so the JSON roundtrip is exact; the layout
-    /// is dense and fleet-shaped, so snapshots of equal states are
+    /// stuck windows, jammed actuators) for checkpointing. The layout is
+    /// dense and fleet-shaped, so snapshots of equal states are
     /// byte-identical.
     pub fn snapshot(&self) -> InjectorSnapshot {
-        InjectorSnapshot {
-            sensor_ctr: self.sensors.ctr.clone(),
-            sensor_stuck_until: self.sensors.stuck_until.clone(),
-            sensor_stuck_val_bits: self.sensors.stuck_val.iter().map(|v| v.to_bits()).collect(),
-            stuck_actuators: self.stuck_actuators.clone(),
-            actuator_ctr: self.actuator_ctr.clone(),
-            message_ctr: self.message_ctr.clone(),
-        }
+        self.state.clone()
     }
 
     /// True if `snap` has this injector's shape: one entry per sensor
@@ -740,30 +717,35 @@ impl FaultInjector {
     /// [`FaultInjector::restore`] replaces its arrays wholesale, so a
     /// caller restoring untrusted state checks this first.
     pub fn fits(&self, snap: &InjectorSnapshot) -> bool {
-        let slots = self.sensors.ctr.len();
-        let servers = self.actuator_ctr.len();
+        let slots = self.sensors.slots();
+        let servers = self.state.actuator_ctr.len();
         snap.sensor_ctr.len() == slots
             && snap.sensor_stuck_until.len() == slots
-            && snap.sensor_stuck_val_bits.len() == slots
+            && snap.sensor_stuck_val.len() == slots
             && snap.stuck_actuators.len() == servers
             && snap.actuator_ctr.len() == servers
-            && snap.message_ctr.len() == self.message_ctr.len()
+            && snap.message_ctr.len() == self.state.message_ctr.len()
     }
 
     /// Restores state captured by [`FaultInjector::snapshot`]. The
     /// injector must have been built from the same plan and fleet shape
     /// (see [`FaultInjector::fits`]).
     pub fn restore(&mut self, snap: &InjectorSnapshot) {
-        self.sensors.ctr = snap.sensor_ctr.clone();
-        self.sensors.stuck_until = snap.sensor_stuck_until.clone();
-        self.sensors.stuck_val = snap
-            .sensor_stuck_val_bits
-            .iter()
-            .map(|&bits| f64::from_bits(bits))
-            .collect();
-        self.stuck_actuators = snap.stuck_actuators.clone();
-        self.actuator_ctr = snap.actuator_ctr.clone();
-        self.message_ctr = snap.message_ctr.clone();
+        self.state.clone_from(snap);
+    }
+}
+
+/// The plan's controller outage windows, lent by
+/// [`FaultInjector::draw_shards`] to shard workers while the injector is
+/// carved. [`FaultInjector::offline`] answers through the same check.
+#[derive(Debug, Clone, Copy)]
+pub struct Outages<'a>(&'a [OutageWindow]);
+
+impl Outages<'_> {
+    /// Whether instance `index` of `layer` is offline at `tick`.
+    #[inline]
+    pub fn offline(self, layer: ControllerLayer, index: usize, tick: u64) -> bool {
+        self.0.iter().any(|w| w.covers(layer, index, tick))
     }
 }
 
@@ -925,17 +907,19 @@ impl SensorDrawShard<'_> {
     }
 }
 
-/// The fault injector's full dynamic state (checkpoint section). All
-/// vectors are dense and fleet-shaped; `sensor_*` entries are indexed by
-/// global sensor slot (channels concatenated in declaration order).
+/// The fault injector's full dynamic state, kept whole by
+/// [`FaultInjector`] (checkpoint section). All vectors are dense and
+/// fleet-shaped; `sensor_*` entries are indexed by global sensor slot
+/// (channels concatenated in declaration order).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InjectorSnapshot {
     /// Per-slot positions in the counter-based sensor streams.
     pub sensor_ctr: Vec<u64>,
-    /// Per-slot sensor thaw ticks (`0` = not stuck).
+    /// Per-slot sensor thaw ticks (`0` = not stuck; a stuck window
+    /// always ends at `tick + stuck_ticks ≥ 1`).
     pub sensor_stuck_until: Vec<u64>,
-    /// Per-slot held sensor values, as IEEE-754 bits.
-    pub sensor_stuck_val_bits: Vec<u64>,
+    /// Per-slot held sensor values while stuck (stale once thawed).
+    pub sensor_stuck_val: FloatBits,
     /// Per-server actuator thaw ticks.
     pub stuck_actuators: Vec<u64>,
     /// Per-server positions in the counter-based actuator-jam stream.
@@ -1353,7 +1337,7 @@ mod tests {
             let mut got = vec![Reading::Dropped; 10];
             let mut blocked = false;
             let ranges = [0..3, 3..7, 7..10];
-            let (mut acts, mut senses) = sharded.draw_shards(SensorChannel::ServerPower);
+            let (mut acts, mut senses, _) = sharded.draw_shards(SensorChannel::ServerPower);
             let mut shards: Vec<_> = ranges
                 .iter()
                 .map(|r| (acts.take(r.clone()), senses.take(r.clone())))
@@ -1421,7 +1405,7 @@ mod tests {
             let enc_ranges = [0..1, 1..3];
             let mut got_sense = vec![Reading::Dropped; 3];
             let mut got_block = vec![false; 6];
-            let (mut acts, mut senses) = sharded.draw_shards(SensorChannel::EnclosurePower);
+            let (mut acts, mut senses, _) = sharded.draw_shards(SensorChannel::EnclosurePower);
             let mut shards: Vec<_> = server_ranges
                 .iter()
                 .zip(&enc_ranges)

@@ -58,18 +58,19 @@ pub mod reduce;
 mod redundancy;
 mod thermal;
 mod topology;
+mod words;
 
 pub use bus::{BusConfig, BusEvent, BusSnapshot, ControlBus, GrantMsg, LinkId, RetryConfig};
 pub use config::SimConfig;
 pub use engine::{
-    ActuatorCarve, ActuatorShard, ShardEffects, SimEpochView, SimSnapshot, Simulation,
+    ActuatorCarve, ActuatorShard, ShardEffects, SimEpochView, SimSnapshot, SimState, Simulation,
     VmObservation, VmView,
 };
 pub use error::SimError;
 pub use events::{Event, EventLog, EventLogError, EventLogSnapshot, LoggedEvent};
 pub use faults::{
     ActuatorDrawCarve, ActuatorDrawShard, ActuatorFaultSpec, ControllerLayer, FaultInjector,
-    FaultPlan, InjectorSnapshot, OutageWindow, Reading, SensorCarve, SensorChannel,
+    FaultPlan, InjectorSnapshot, OutageWindow, Outages, Reading, SensorCarve, SensorChannel,
     SensorDrawShard, SensorFaultSpec,
 };
 pub use ids::{EnclosureId, RackId, ServerId, VmId};
@@ -79,6 +80,7 @@ pub use reduce::{tree_max, tree_max_by, tree_reduce, tree_reduce_pool, tree_sum,
 pub use redundancy::{InFlightSync, RedundancyConfig, RedundancyStats, ReplicaState};
 pub use thermal::{ThermalConfig, ThermalState};
 pub use topology::{Topology, TopologyBuilder};
+pub use words::{FloatBits, FloatWord, PStateHolds, PStates, VmIds};
 
 /// Convenient result alias for simulator operations.
 pub type Result<T> = std::result::Result<T, SimError>;

@@ -59,26 +59,19 @@ impl Mix {
         }
     }
 
-    /// Minimum corpus size this mix requires.
-    pub fn required_corpus(self) -> usize {
-        match self {
-            Mix::All180 | Mix::Hhh60 => 180,
-            Mix::L60 | Mix::M60 | Mix::H60 => 60,
-            Mix::Hh60 => 120,
-        }
-    }
-
     /// Selects this mix from `corpus`.
     ///
     /// For a corpus of a non-standard size `n`, the selections scale:
     /// thirds for L/M/H, pair/triple stacking over the hottest 2/3 and the
     /// whole corpus for HH/HHH, always yielding `n/3` traces (or `n` for
-    /// [`Mix::All180`]).
+    /// [`Mix::All180`]). Every mix needs at least three traces, so that a
+    /// third is not empty.
     pub fn select(self, corpus: &Corpus) -> Result<Vec<UtilTrace>> {
+        const MIN_CORPUS: usize = 3;
         let n = corpus.len();
-        if n < self.required_corpus().min(n.max(3)) || n < 3 {
+        if n < MIN_CORPUS {
             return Err(TraceError::CorpusTooSmall {
-                required: self.required_corpus(),
+                required: MIN_CORPUS,
                 available: n,
             });
         }
@@ -192,6 +185,41 @@ mod tests {
             c.mix(Mix::L60),
             Err(TraceError::CorpusTooSmall { .. })
         ));
+    }
+
+    #[test]
+    fn two_trace_corpus_reports_three_required() {
+        let c = Corpus::new(vec![
+            UtilTrace::constant("a", 0.5, 10).unwrap(),
+            UtilTrace::constant("b", 0.2, 10).unwrap(),
+        ]);
+        for m in Mix::ALL {
+            assert!(
+                matches!(
+                    m.select(&c),
+                    Err(TraceError::CorpusTooSmall {
+                        required: 3,
+                        available: 2
+                    })
+                ),
+                "{m}"
+            );
+        }
+    }
+
+    #[test]
+    fn thirty_trace_corpus_yields_ten_hh60_pairs_of_the_hottest_twenty() {
+        // Trace `t{i}` has mean 0.02 + 0.01·i, so the hottest 20 are
+        // t10..t29, and pair k stacks the k-th hottest with the
+        // (k+10)-th hottest.
+        let traces: Vec<UtilTrace> = (0..30)
+            .map(|i| UtilTrace::constant(format!("t{i}"), 0.02 + 0.01 * i as f64, 10).unwrap())
+            .collect();
+        let hh = Corpus::new(traces).mix(Mix::Hh60).unwrap();
+        assert_eq!(hh.len(), 10);
+        for (k, t) in hh.iter().enumerate() {
+            assert_eq!(t.name(), format!("HH-{k:02}[t{}+t{}]", 29 - k, 19 - k));
+        }
     }
 
     #[test]

@@ -126,7 +126,6 @@ proptest! {
         .bus(bus)
         .build();
         let mut runner = Runner::new(&cfg);
-        let inf = f64::INFINITY.to_bits();
         while runner.ticks_done() < 150 {
             for _ in 0..10 {
                 runner.tick();
@@ -136,20 +135,20 @@ proptest! {
             for (i, (&cap, &until)) in snap
                 .ecsm
                 .bank
-                .granted_cap_bits
+                .granted_cap
                 .iter()
                 .zip(&snap.ecsm.bank.lease_until)
                 .enumerate()
             {
                 if until == u64::MAX {
                     prop_assert_eq!(
-                        cap, inf,
+                        cap, f64::INFINITY,
                         "server {} unleased but cap {} still granted at tick {}",
-                        i, f64::from_bits(cap), now
+                        i, cap, now
                     );
                 } else {
                     prop_assert!(
-                        f64::from_bits(cap).is_finite(),
+                        cap.is_finite(),
                         "server {} leased an unlimited grant", i
                     );
                 }
@@ -157,7 +156,7 @@ proptest! {
             for (e, em) in snap.managers.ems.iter().enumerate() {
                 if em.lease_until == u64::MAX {
                     prop_assert_eq!(
-                        em.granted_cap_bits, inf,
+                        em.granted_cap.0, f64::INFINITY,
                         "enclosure {} unleased but still capped", e
                     );
                 }

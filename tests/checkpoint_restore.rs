@@ -357,14 +357,14 @@ fn truncated_state_arrays_are_rejected_without_touching_the_runner() {
         ("ecsm.windows.sm_hold", |s| {
             s.ecsm.windows.sm_hold.pop();
         }),
-        ("ecsm.bank.freq_hz_bits", |s| {
-            s.ecsm.bank.freq_hz_bits.pop();
+        ("ecsm.bank.freq_hz", |s| {
+            s.ecsm.bank.freq_hz.pop();
         }),
         ("injector.actuator_ctr", |s| {
             s.injector.actuator_ctr.pop();
         }),
-        ("injector.sensor_stuck_val_bits", |s| {
-            s.injector.sensor_stuck_val_bits.pop();
+        ("injector.sensor_stuck_val", |s| {
+            s.injector.sensor_stuck_val.pop();
         }),
         ("managers.windows.last_child_gm", |s| {
             s.managers.windows.last_child_gm.pop();
@@ -372,8 +372,8 @@ fn truncated_state_arrays_are_rejected_without_touching_the_runner() {
         ("managers.windows.snap_power", |s| {
             s.managers.windows.snap_power.pop();
         }),
-        ("vmc.buffer_bits", |s| {
-            s.vmc.buffer_bits.pop();
+        ("vmc.buffer", |s| {
+            s.vmc.buffer.pop();
         }),
         ("vmc.windows.win_max_vm_util", |s| {
             s.vmc.windows.win_max_vm_util.pop();
@@ -412,7 +412,8 @@ fn truncated_state_arrays_are_rejected_without_touching_the_runner() {
 
 #[test]
 fn misshapen_bus_state_is_rejected_without_touching_the_runner() {
-    use no_power_struggles::sim::bus::InFlightSnapshot;
+    use no_power_struggles::sim::bus::InFlight;
+    use no_power_struggles::sim::FloatWord;
 
     let cfg = stressed_config();
     let mut source = Runner::new(&cfg);
@@ -435,13 +436,13 @@ fn misshapen_bus_state_is_rejected_without_touching_the_runner() {
         }),
         ("plane.bus.queue link out of range", |s| {
             let links = s.plane.bus.links.len();
-            s.plane.bus.queue.push(InFlightSnapshot {
+            s.plane.bus.queue.push(InFlight {
                 deliver_at: u64::MAX,
                 uid: u64::MAX,
                 link: links,
                 is_ack: false,
                 seq: 1,
-                watts_bits: 100.0f64.to_bits(),
+                watts: FloatWord(100.0),
             });
         }),
     ];
@@ -475,7 +476,8 @@ fn misshapen_bus_state_is_rejected_without_touching_the_runner() {
 
 #[test]
 fn misshapen_simulator_and_capper_state_is_rejected_without_touching_the_runner() {
-    use no_power_struggles::sim::{Placement, ServerId};
+    use no_power_struggles::models::PState;
+    use no_power_struggles::sim::{Placement, ServerId, VmId};
 
     let cfg = stressed_config();
     let mut source = Runner::new(&cfg);
@@ -485,48 +487,71 @@ fn misshapen_simulator_and_capper_state_is_rejected_without_touching_the_runner(
     let good = source.snapshot();
     type Edit = fn(&mut RunnerSnapshot);
     let edits: [(&str, Edit); 15] = [
-        ("sim.vm_obs_bits partial tail", |s| {
-            s.sim.vm_obs_bits.pop();
+        ("sim.vm_obs partial tail", |s| {
+            s.sim.vm_obs.pop();
         }),
-        ("sim.vm_obs_bits extra observation", |s| {
-            s.sim.vm_obs_bits.extend([0, 0, 0]);
+        ("sim.vm_obs extra observation", |s| {
+            s.sim.vm_obs.extend([0.0, 0.0, 0.0]);
         }),
-        ("sim.on short", |s| {
-            s.sim.on.pop();
+        ("sim.state.on short", |s| {
+            s.sim.state.on.pop();
         }),
-        ("sim.pstate index out of range", |s| s.sim.pstate[0] = 99),
-        ("sim.mig_until short", |s| {
-            s.sim.mig_until.pop();
+        ("sim.state.pstate index out of range", |s| {
+            s.sim.state.pstate[0] = PState(99)
         }),
-        ("sim.boot_until long", |s| s.sim.boot_until.push(0)),
-        ("sim.residents VM id out of range", |s| {
-            let vms = s.sim.placement.num_vms();
-            let list = s.sim.residents.iter_mut().find(|r| !r.is_empty()).unwrap();
-            list[0] = vms;
+        ("sim.state.mig_until short", |s| {
+            s.sim.state.mig_until.pop();
         }),
-        ("sim.residents VM listed twice", |s| {
-            let list = s.sim.residents.iter_mut().find(|r| !r.is_empty()).unwrap();
+        ("sim.state.boot_until long", |s| {
+            s.sim.state.boot_until.push(0)
+        }),
+        ("sim.state.residents VM id out of range", |s| {
+            let vms = s.sim.state.placement.num_vms();
+            let list = s
+                .sim
+                .state
+                .residents
+                .iter_mut()
+                .find(|r| !r.is_empty())
+                .unwrap();
+            list[0] = VmId(vms);
+        }),
+        ("sim.state.residents VM listed twice", |s| {
+            let list = s
+                .sim
+                .state
+                .residents
+                .iter_mut()
+                .find(|r| !r.is_empty())
+                .unwrap();
             let vm = list[0];
             list.push(vm);
         }),
-        ("sim.placement.host server out of range", |s| {
-            let servers = s.sim.on.len();
-            let mut hosts: Vec<ServerId> = s.sim.placement.iter().map(|(_, h)| h).collect();
+        ("sim.state.placement.host server out of range", |s| {
+            let servers = s.sim.state.on.len();
+            let mut hosts: Vec<ServerId> = s.sim.state.placement.iter().map(|(_, h)| h).collect();
             hosts[0] = ServerId(servers);
-            s.sim.placement = Placement::from_hosts(hosts);
+            s.sim.state.placement = Placement::from_hosts(hosts);
         }),
-        ("sim.placement.host short", |s| {
-            let hosts = s.sim.placement.iter().map(|(_, h)| h).skip(1).collect();
-            s.sim.placement = Placement::from_hosts(hosts);
+        ("sim.state.placement.host short", |s| {
+            let hosts = s
+                .sim
+                .state
+                .placement
+                .iter()
+                .map(|(_, h)| h)
+                .skip(1)
+                .collect();
+            s.sim.state.placement = Placement::from_hosts(hosts);
         }),
-        ("sim.pstate_written_this_tick short", |s| {
-            s.sim.pstate_written_this_tick.pop();
+        ("sim.state.pstate_written_this_tick short", |s| {
+            s.sim.state.pstate_written_this_tick.pop();
         }),
-        ("sim.cum_enc_power_bits long", |s| {
-            s.sim.cum_enc_power_bits.push(0)
+        ("sim.state.cum_enc_power long", |s| {
+            s.sim.state.cum_enc_power.push(0.0)
         }),
-        ("sim.util_bits short", |s| {
-            s.sim.util_bits.pop();
+        ("sim.state.util short", |s| {
+            s.sim.state.util.pop();
         }),
         ("managers.gm.policy_state", |s| {
             s.managers.gm.policy_state.push(1)
@@ -575,11 +600,10 @@ fn checkpoint_text_is_pinned() {
     // The JSON a fixed run's checkpoint is written as, hashed when the
     // writer still formatted every number through `Display`: a change
     // to the writer must not move a single byte. Re-pinned for format
-    // v7, whose text carries every word of v6's, nested under the layer
-    // keys, with the EM and GM per-server power windows merged into one
-    // (members' EM words, standalone servers' GM words) and the version
-    // word changed.
-    const PINNED: u64 = 0x5e58_377c_1bd0_c695;
+    // v8, whose text carries every word of v7's: the `*_bits` keys lost
+    // their suffix, the simulator's directly kept fields nest under
+    // `sim.state`, and the version word changed.
+    const PINNED: u64 = 0x789d_4c7f_0334_5f5d;
     let mut runner = Runner::new(&stressed_config());
     for _ in 0..150 {
         runner.tick();
@@ -637,16 +661,37 @@ fn load_reports_an_older_format_version_before_mapping_fields() {
         runner.snapshot()
     );
 
-    // A version-6 file: older version word, and the flat layout — every
-    // layer's fields at the top level, float arrays named `*_bits`. A
-    // version-5 file also has the VMC window under its real-utilization
-    // names (v5 kept a real and an apparent one), and a version-4 file
-    // the event ring in the old nested layout. The current field mapping
-    // reads none of them.
+    // A version-7 file: older version word, the simulator's fields
+    // directly under `sim`, and every float word under a `*_bits` key.
+    // A version-6 file also has the flat layout — every layer's fields
+    // at the top level. A version-5 file also has the VMC window under
+    // its real-utilization names (v5 kept a real and an apparent one),
+    // and a version-4 file the event ring in the old nested layout. The
+    // current field mapping reads none of them.
     let current = format!("\"version\":{}", RunnerSnapshot::VERSION);
     let text = std::fs::read_to_string(&path).expect("reads");
     assert!(text.starts_with(&format!("{{{current},")));
-    let mut v6 = text.replacen(&current, "\"version\":6", 1);
+    let mut v7 = hoist(&text.replacen(&current, "\"version\":7", 1), "state");
+    for name in [
+        "util",
+        "power",
+        "vm_obs",
+        "cum_power",
+        "cum_enc_power",
+        "cum_util",
+        "cum_delivered",
+        "cum_demand",
+        "sensor_stuck_val",
+        "cum_latency_proxy",
+        "freq_hz",
+        "applied_hz",
+        "r_ref",
+        "granted_cap",
+        "buffer",
+    ] {
+        v7 = v7.replacen(&format!("\"{name}\":"), &format!("\"{name}_bits\":"), 1);
+    }
+    let mut v6 = v7.replacen("\"version\":7", "\"version\":6", 1);
     for key in ["ecsm", "managers", "vmc", "plane", "safety", "replicas"] {
         v6 = hoist(&v6, key);
     }
@@ -680,7 +725,7 @@ fn load_reports_an_older_format_version_before_mapping_fields() {
     let v4 =
         v5.replacen("\"version\":5", "\"version\":4", 1)
             .replacen("\"words\":[", "\"ring\":[", 1);
-    for (version, old) in [(6, v6), (5, v5), (4, v4)] {
+    for (version, old) in [(7, v7), (6, v6), (5, v5), (4, v4)] {
         assert!(
             serde_json::from_str::<RunnerSnapshot>(&old).is_err(),
             "a version-{version} layout must not map onto the current fields"
