@@ -60,9 +60,9 @@ pub struct RunnerSnapshot {
 impl RunnerSnapshot {
     /// Current checkpoint format version. Bump on any layout change —
     /// restore refuses checkpoints from other versions. DESIGN.md §9
-    /// describes what each version changed; version 8 writes the
-    /// simulator's, bank's, injector's and bus's state structs whole.
-    pub const VERSION: u32 = 8;
+    /// describes what each version changed; version 9 writes the bus
+    /// links and the simulator's resident lists as word columns.
+    pub const VERSION: u32 = 9;
 
     /// Writes the checkpoint to `path` as JSON, atomically: the bytes go
     /// to a sibling temp file first and are renamed into place, so a

@@ -42,6 +42,7 @@ use nps_sim::{
     ServerId, ShardEffects, SimConfig, Simulation, VmId, WorkerPool,
 };
 use std::ops::Range;
+use std::sync::Arc;
 
 use crate::arch::{ControllerMask, CoordinationMode};
 use crate::config::ExperimentConfig;
@@ -125,7 +126,8 @@ struct Env {
     /// Ticks simulated so far: the tick `act` runs at.
     t: u64,
     sim: Simulation,
-    models: Vec<ServerModel>,
+    /// The simulator's models, shared with it.
+    models: Arc<[ServerModel]>,
     // Static caps.
     cap_loc: Vec<f64>,
     cap_enc: Vec<f64>,
@@ -269,7 +271,7 @@ impl Runner {
                 });
             }
         }
-        let models = cfg.server_models();
+        let models: Arc<[ServerModel]> = cfg.server_models().into();
         let sim_cfg = SimConfig {
             alpha_v: cfg.vmc.alpha_v,
             ..cfg.sim
@@ -278,7 +280,7 @@ impl Runner {
         // below can rely on its canonical form.
         let mut sim = Simulation::with_models_and_placement(
             cfg.topology.clone(),
-            models.clone(),
+            Arc::clone(&models),
             cfg.traces.clone(),
             nps_sim::Placement::one_per_server(cfg.traces.len(), cfg.topology.num_servers()),
             sim_cfg,
@@ -310,9 +312,10 @@ impl Runner {
             * reduce::tree_sum_by(models.len(), |i| models[i].max_power());
 
         // One EC (starting at f_max, r_ref = 0.75) and one SM (static cap
-        // CAP_LOC, unbounded grant) per server, banked into flat arrays.
+        // CAP_LOC, unbounded grant) per server, banked into flat arrays
+        // over the simulator's model table.
         let bank = ControllerBank::new(
-            nps_models::ModelTable::from_models(&models),
+            sim.model_table().clone(),
             cfg.lambda,
             cfg.beta,
             0.75,

@@ -57,7 +57,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::words::FloatWord;
+use crate::words::{FloatWord, LinkStates};
 
 /// Retransmission policy for unacknowledged grants.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -350,7 +350,7 @@ impl Ord for QueueEntry {
 }
 
 /// Sender-side retransmission state for the newest unacked grant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pending {
     /// Sequence number of the unacked grant.
     pub seq: u64,
@@ -363,8 +363,9 @@ pub struct Pending {
 }
 
 /// Per-link state machine: sender sequence/retry state plus receiver
-/// acceptance state.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// acceptance state. Checkpointed as columns through
+/// [`LinkStates`].
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LinkState {
     /// Next sequence number the sender will assign (first grant is 1).
     pub next_seq: u64,
@@ -903,7 +904,7 @@ impl ControlBus {
         BusSnapshot {
             rng: self.rng.state().to_vec(),
             next_uid: self.next_uid,
-            links: self.links.clone(),
+            links: LinkStates(self.links.clone()),
             queue,
         }
     }
@@ -976,8 +977,8 @@ pub struct BusSnapshot {
     pub rng: Vec<u64>,
     /// Enqueue counter.
     pub next_uid: u64,
-    /// Per-link state, registration order.
-    pub links: Vec<LinkState>,
+    /// Per-link state, registration order (written as word columns).
+    pub links: LinkStates,
     /// In-flight queue, delivery order.
     pub queue: Vec<InFlight>,
 }
@@ -1371,6 +1372,59 @@ mod tests {
             resumed.send(link, t as f64, t, false);
             assert_eq!(live.poll(t), resumed.poll(t));
         }
+    }
+
+    #[test]
+    fn snapshot_with_pending_retries_round_trips_bit_for_bit() {
+        let cfg = BusConfig {
+            seed: 3,
+            delay_ticks: 3,
+            drop_prob: 0.5,
+            retry: RetryConfig {
+                max_attempts: 5,
+                backoff_base_ticks: 2,
+                backoff_max_ticks: 16,
+                jitter_ticks: 1,
+            },
+            ..BusConfig::default()
+        };
+        let mut live = ControlBus::new(&cfg);
+        let links: Vec<LinkId> = (0..4).map(|_| live.register_link()).collect();
+        for t in 0..9 {
+            for &link in &links {
+                live.send(link, 50.0 + t as f64, t, false);
+            }
+            live.poll(t);
+        }
+        let mut snap = live.snapshot();
+        let pending: Vec<usize> = (0..4)
+            .filter(|&l| snap.links[l].pending.is_some())
+            .collect();
+        assert!(pending.len() >= 2, "retries are pending on {pending:?}");
+        // A NaN with a payload survives only as its bit word.
+        let nan = f64::from_bits(0x7ff8_0000_0bad_f00d);
+        snap.links[pending[0]].pending.as_mut().unwrap().watts = FloatWord(nan);
+        let json = serde_json::to_string(&snap).unwrap();
+        let back: BusSnapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, snap);
+        for (got, want) in back.links.iter().zip(snap.links.iter()) {
+            assert_eq!(got.next_seq, want.next_seq);
+            assert_eq!(got.accepted_seq, want.accepted_seq);
+            let bits = |l: &LinkState| {
+                l.pending
+                    .map(|p| (p.seq, p.watts.to_bits(), p.attempts, p.next_retry_at))
+            };
+            assert_eq!(bits(got), bits(want));
+        }
+        let watts = back.links[pending[0]].pending.unwrap().watts;
+        assert_eq!(watts.to_bits(), nan.to_bits());
+        let mut resumed = ControlBus::new(&cfg);
+        links.iter().for_each(|_| {
+            resumed.register_link();
+        });
+        resumed.fits(&back).unwrap();
+        resumed.restore(&back);
+        assert_eq!(resumed.snapshot(), snap);
     }
 
     #[test]

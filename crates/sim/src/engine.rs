@@ -1,6 +1,7 @@
 //! The tick-driven simulation engine.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use nps_models::{ModelTable, PState, ServerModel};
 use nps_traces::UtilTrace;
@@ -14,7 +15,7 @@ use crate::placement::Placement;
 use crate::reduce;
 use crate::thermal::ThermalState;
 use crate::topology::Topology;
-use crate::words::{FloatBits, PStates, VmIds};
+use crate::words::{FloatBits, PStates, ResidentLists, VmIds};
 use crate::Result;
 
 /// Per-VM measurements from the last simulated tick.
@@ -41,7 +42,8 @@ pub struct VmObservation {
 pub struct Simulation {
     cfg: SimConfig,
     topo: Topology,
-    models: Vec<ServerModel>,
+    /// One model per server, shareable with the simulator's owner.
+    models: Arc<[ServerModel]>,
     /// Flattened structure-of-arrays view of `models`, used by the
     /// per-tick hot loop (bit-identical to the per-object lookups).
     table: ModelTable,
@@ -78,14 +80,17 @@ impl Simulation {
     }
 
     /// Creates a heterogeneous simulation with one model per server and an
-    /// explicit initial placement.
+    /// explicit initial placement. `models` may be a `Vec` or an
+    /// `Arc<[ServerModel]>` the caller keeps a handle to, so the fleet's
+    /// models are built once.
     pub fn with_models_and_placement(
         topo: Topology,
-        models: Vec<ServerModel>,
+        models: impl Into<Arc<[ServerModel]>>,
         traces: Vec<UtilTrace>,
         placement: Placement,
         cfg: SimConfig,
     ) -> Result<Self> {
+        let models = models.into();
         let n = topo.num_servers();
         if n == 0 {
             return Err(SimError::EmptyTopology);
@@ -116,7 +121,7 @@ impl Simulation {
         let table = ModelTable::from_models(&models);
         let state = SimState {
             placement,
-            residents,
+            residents: ResidentLists(residents),
             on: vec![true; n],
             pstate: PStates(vec![PState::P0; n]),
             mig_until: vec![0; num_vms],
@@ -985,8 +990,8 @@ pub struct SimState {
     pub placement: Placement,
     /// Per-server resident VM lists, insertion order preserved: it
     /// fixes the float summation order of the hot loop, which
-    /// bit-exactness depends on.
-    pub residents: Vec<VmIds>,
+    /// bit-exactness depends on. Written as CSR words.
+    pub residents: ResidentLists,
     /// Per-server power switch.
     pub on: Vec<bool>,
     /// Per-server P-states.
@@ -1327,6 +1332,61 @@ mod tests {
         assert_eq!(
             live.total_energy().to_bits(),
             resumed.total_energy().to_bits()
+        );
+    }
+
+    #[test]
+    fn snapshot_after_migrations_keeps_resident_insertion_order() {
+        // Five VMs over three servers; migrations append to the
+        // destination's list, so server 1 ends up holding [1, 4, 0, 2].
+        let topo = Topology::builder().standalone(3).build();
+        let mut sim = Simulation::with_models_and_placement(
+            topo,
+            vec![ServerModel::blade_a(); 3],
+            traces(&[0.1, 0.2, 0.1, 0.3, 0.2]),
+            Placement::from_hosts([0, 1, 2, 0, 1].map(ServerId).to_vec()),
+            SimConfig::default(),
+        )
+        .unwrap();
+        sim.step();
+        for vm in [0, 2] {
+            sim.migrate(VmId(vm), ServerId(1)).unwrap();
+            sim.step();
+        }
+        let lists = |sim: &Simulation| -> Vec<Vec<usize>> {
+            (0..3)
+                .map(|s| {
+                    sim.residents(ServerId(s))
+                        .iter()
+                        .map(|vm| vm.index())
+                        .collect()
+                })
+                .collect()
+        };
+        assert_eq!(lists(&sim), [vec![3], vec![1, 4, 0, 2], vec![]]);
+        let snap = sim.snapshot();
+        let json = serde_json::to_string(&snap).unwrap();
+        assert!(json.contains(r#""residents":{"len":[1,4,0],"vms":[3,1,4,0,2]}"#));
+        let back: SimSnapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, snap);
+        let mut resumed = Simulation::with_models_and_placement(
+            Topology::builder().standalone(3).build(),
+            vec![ServerModel::blade_a(); 3],
+            traces(&[0.1, 0.2, 0.1, 0.3, 0.2]),
+            Placement::from_hosts([0, 1, 2, 0, 1].map(ServerId).to_vec()),
+            SimConfig::default(),
+        )
+        .unwrap();
+        resumed.restore(&back).unwrap();
+        assert_eq!(lists(&resumed), lists(&sim));
+        assert_eq!(resumed.snapshot(), snap);
+        for _ in 0..5 {
+            sim.step();
+            resumed.step();
+        }
+        assert_eq!(
+            resumed.total_energy().to_bits(),
+            sim.total_energy().to_bits()
         );
     }
 

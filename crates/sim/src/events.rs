@@ -208,7 +208,12 @@ impl EventLog {
             self.ring.push(entry);
         } else {
             self.ring[self.next] = entry;
-            self.next = (self.next + 1) % self.capacity;
+            // `next < capacity` always holds (`from_snapshot` rejects
+            // anything else), so wrapping is one compare, not a division.
+            self.next += 1;
+            if self.next == self.capacity {
+                self.next = 0;
+            }
         }
     }
 
@@ -347,6 +352,21 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert_eq!(r[0].tick, 3);
         assert_eq!(r[1].tick, 4);
+    }
+
+    #[test]
+    fn cursor_wraps_at_the_capacity_boundary() {
+        let capacity = 5;
+        for k in 0..=2 * capacity {
+            let mut log = EventLog::new(capacity);
+            for t in 0..(capacity + k) as u64 {
+                log.record(t, ev(t as usize));
+            }
+            assert_eq!(log.next, k % capacity, "after {capacity} + {k} records");
+            let ticks: Vec<u64> = log.recent().iter().map(|e| e.tick).collect();
+            let first = k as u64;
+            assert_eq!(ticks, (first..first + capacity as u64).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -608,13 +608,14 @@ impl FaultInjector {
     /// draws live on per-server counter streams, so shard-local
     /// evaluation order cannot perturb anything.
     pub fn actuator_shards(&mut self) -> ActuatorDrawCarve<'_> {
-        ActuatorDrawCarve {
-            active: self.actuator_on,
-            spec: self.plan.actuator,
-            rng: self.actuator_rng,
-            thaw: Carve::new(&mut self.state.stuck_actuators),
-            ctr: Carve::new(&mut self.state.actuator_ctr),
-        }
+        let st = &mut self.state;
+        ActuatorDrawCarve::new(
+            self.actuator_on,
+            self.plan.actuator,
+            self.actuator_rng,
+            &mut st.stuck_actuators,
+            &mut st.actuator_ctr,
+        )
     }
 
     /// Carves actuator-jam state **and** one sensor channel into paired
@@ -629,13 +630,13 @@ impl FaultInjector {
         channel: SensorChannel,
     ) -> (ActuatorDrawCarve<'_>, SensorCarve<'_>, Outages<'_>) {
         let st = &mut self.state;
-        let act = ActuatorDrawCarve {
-            active: self.actuator_on,
-            spec: self.plan.actuator,
-            rng: self.actuator_rng,
-            thaw: Carve::new(&mut st.stuck_actuators),
-            ctr: Carve::new(&mut st.actuator_ctr),
-        };
+        let act = ActuatorDrawCarve::new(
+            self.actuator_on,
+            self.plan.actuator,
+            self.actuator_rng,
+            &mut st.stuck_actuators,
+            &mut st.actuator_ctr,
+        );
         let slots = self.sensors.slots_of(channel);
         let sense = SensorCarve::new(
             slots.start,
@@ -762,6 +763,24 @@ pub struct ActuatorDrawCarve<'a> {
 }
 
 impl<'a> ActuatorDrawCarve<'a> {
+    /// The carve over the jam state's two per-server arrays, split off
+    /// the injector's state by the caller.
+    fn new(
+        active: bool,
+        spec: ActuatorFaultSpec,
+        rng: CounterRng,
+        thaw: &'a mut [u64],
+        ctr: &'a mut [u64],
+    ) -> Self {
+        Self {
+            active,
+            spec,
+            rng,
+            thaw: Carve::new(thaw),
+            ctr: Carve::new(ctr),
+        }
+    }
+
     /// The jam-draw view of server `range`.
     #[inline]
     pub fn take(&mut self, range: Range<usize>) -> ActuatorDrawShard<'a> {

@@ -80,7 +80,7 @@ pub use reduce::{tree_max, tree_max_by, tree_reduce, tree_reduce_pool, tree_sum,
 pub use redundancy::{InFlightSync, RedundancyConfig, RedundancyStats, ReplicaState};
 pub use thermal::{ThermalConfig, ThermalState};
 pub use topology::{Topology, TopologyBuilder};
-pub use words::{FloatBits, FloatWord, PStateHolds, PStates, VmIds};
+pub use words::{FloatBits, FloatWord, LinkStates, PStateHolds, PStates, ResidentLists, VmIds};
 
 /// Convenient result alias for simulator operations.
 pub type Result<T> = std::result::Result<T, SimError>;

@@ -50,6 +50,44 @@ fn quiet_config() -> ExperimentConfig {
         .build()
 }
 
+/// A multi-rack fleet with plan-level faults and a slow, lossy bus with
+/// retries: checkpointed mid-GM-window (tick 126), it carries grant copies
+/// in the in-flight heap and armed retransmission timers.
+fn lossy_config() -> ExperimentConfig {
+    let plan = FaultPlan::disabled()
+        .with_seed(77)
+        .with_sensor_noise(0.02)
+        .with_stuck_sensors(0.01, 10)
+        .with_dropped_samples(0.01)
+        .with_stuck_actuators(0.004, 6)
+        .with_message_loss(0.03);
+    let bus = BusConfig::default()
+        .with_seed(888)
+        .with_delay(2, 3)
+        .with_drop(0.05)
+        .with_reordering(0.3, 4)
+        .with_leases(35)
+        .with_retry(RetryConfig {
+            max_attempts: 3,
+            backoff_base_ticks: 2,
+            backoff_max_ticks: 16,
+            jitter_ticks: 1,
+        });
+    Scenario::multi_rack(
+        SystemKind::BladeA,
+        CoordinationMode::Coordinated,
+        2,
+        2,
+        6,
+        3,
+    )
+    .horizon(HORIZON)
+    .seed(23)
+    .faults(plan)
+    .bus(bus)
+    .build()
+}
+
 /// Runs `cfg` uninterrupted and returns its final stats and a terminal
 /// snapshot (full bit-packed state).
 fn run_uninterrupted(cfg: &ExperimentConfig) -> (RunStats, RunnerSnapshot) {
@@ -121,38 +159,7 @@ fn mid_gm_window_checkpoint_is_thread_count_agnostic() {
     // and nonzero per-slot sensor counters — then restore at different
     // thread counts. The terminal checkpoint JSON must be byte-identical
     // whichever worker count replays the remainder.
-    let plan = FaultPlan::disabled()
-        .with_seed(77)
-        .with_sensor_noise(0.02)
-        .with_stuck_sensors(0.01, 10)
-        .with_dropped_samples(0.01)
-        .with_stuck_actuators(0.004, 6)
-        .with_message_loss(0.03);
-    let bus = BusConfig::default()
-        .with_seed(888)
-        .with_delay(2, 3)
-        .with_drop(0.05)
-        .with_reordering(0.3, 4)
-        .with_leases(35)
-        .with_retry(RetryConfig {
-            max_attempts: 3,
-            backoff_base_ticks: 2,
-            backoff_max_ticks: 16,
-            jitter_ticks: 1,
-        });
-    let cfg = Scenario::multi_rack(
-        SystemKind::BladeA,
-        CoordinationMode::Coordinated,
-        2,
-        2,
-        6,
-        3,
-    )
-    .horizon(HORIZON)
-    .seed(23)
-    .faults(plan)
-    .bus(bus)
-    .build();
+    let cfg = lossy_config();
 
     // Uninterrupted single-thread reference.
     let mut reference = Runner::new(&cfg);
@@ -588,6 +595,160 @@ fn misshapen_simulator_and_capper_state_is_rejected_without_touching_the_runner(
     assert_eq!(state_json(&mut target), state_json(&mut source));
 }
 
+/// The words of the JSON array after `text`'s one `"key":[`, and the
+/// byte range they occupy.
+fn words_at(text: &str, key: &str) -> (std::ops::Range<usize>, Vec<u64>) {
+    let open = format!("\"{key}\":[");
+    let start = text.find(&open).expect("key present") + open.len();
+    assert_eq!(
+        text.rfind(&open).map(|i| i + open.len()),
+        Some(start),
+        "{key} is not unique"
+    );
+    let end = start + text[start..].find(']').expect("array closes");
+    let words = text[start..end]
+        .split(',')
+        .filter(|w| !w.is_empty())
+        .map(|w| w.parse().expect("an unsigned word"))
+        .collect();
+    (start..end, words)
+}
+
+fn join(words: &[u64]) -> String {
+    words
+        .iter()
+        .map(u64::to_string)
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
+/// `text` with the words of `key`'s array edited by `edit`.
+fn edit_words(text: &str, key: &str, edit: impl FnOnce(&mut Vec<u64>)) -> String {
+    let (range, mut words) = words_at(text, key);
+    edit(&mut words);
+    format!(
+        "{}{}{}",
+        &text[..range.start],
+        join(&words),
+        &text[range.end..]
+    )
+}
+
+#[test]
+fn misshapen_link_and_resident_columns_are_rejected_without_touching_the_runner() {
+    #[derive(Debug, PartialEq)]
+    enum Stage {
+        Decode,
+        Restore,
+    }
+    let cfg = lossy_config();
+    let mut source = Runner::new(&cfg);
+    for _ in 0..126 {
+        source.tick();
+    }
+    let good = state_json(&mut source);
+    let (_, pending) = words_at(&good, "pending");
+    assert!(pending.len() >= 10, "the split catches two pending retries");
+    let links = words_at(&good, "next_seq").1.len() as u64;
+    type Edit = fn(&mut Vec<u64>, u64);
+    let edits: [(&str, &str, Edit, Stage); 8] = [
+        (
+            "next_seq shorter than accepted_seq",
+            "next_seq",
+            |w, _| {
+                w.pop();
+            },
+            Stage::Decode,
+        ),
+        (
+            "accepted_seq shorter than next_seq",
+            "accepted_seq",
+            |w, _| {
+                w.pop();
+            },
+            Stage::Decode,
+        ),
+        (
+            "a pending record of four words",
+            "pending",
+            |w, _| {
+                w.pop();
+            },
+            Stage::Decode,
+        ),
+        (
+            "a pending record naming link = the link count",
+            "pending",
+            |w, links| {
+                let last = w.len() - 5;
+                w[last] = links;
+            },
+            Stage::Decode,
+        ),
+        (
+            "two pending records naming one link",
+            "pending",
+            |w, _| w[5] = w[0],
+            Stage::Decode,
+        ),
+        (
+            "pending attempts above u32::MAX",
+            "pending",
+            |w, _| w[3] = u64::from(u32::MAX) + 1,
+            Stage::Decode,
+        ),
+        (
+            "resident counts summing past the listed VMs",
+            "len",
+            |w, _| w[0] += 1,
+            Stage::Decode,
+        ),
+        (
+            "a VM listed twice",
+            "vms",
+            |w, _| w[1] = w[0],
+            Stage::Restore,
+        ),
+    ];
+
+    let mut target = Runner::new(&cfg);
+    for _ in 0..40 {
+        target.tick();
+    }
+    let before = state_json(&mut target);
+    for (what, key, edit, stage) in edits {
+        let bad = edit_words(&good, key, |w| edit(w, links));
+        let rejected = match serde_json::from_str::<RunnerSnapshot>(&bad) {
+            Err(_) => Stage::Decode,
+            Ok(snap) => {
+                let err = target
+                    .restore(&snap)
+                    .expect_err(&format!("{what} must be rejected"));
+                assert!(
+                    matches!(err, no_power_struggles::core::CoreError::Checkpoint(_)),
+                    "{what}: unexpected error: {err}"
+                );
+                Stage::Restore
+            }
+        };
+        assert_eq!(rejected, stage, "{what} was rejected at the wrong stage");
+        assert_eq!(
+            state_json(&mut target),
+            before,
+            "a failed restore of {what} mutated the runner"
+        );
+    }
+    // `attempts` at exactly `u32::MAX` is in range.
+    let edge = edit_words(&good, "pending", |w| w[3] = u64::from(u32::MAX));
+    let snap: RunnerSnapshot = serde_json::from_str(&edge).expect("u32::MAX attempts decode");
+    assert_eq!(serde_json::to_string(&snap).unwrap(), edge);
+    let snap: RunnerSnapshot = serde_json::from_str(&good).expect("the intact text decodes");
+    target
+        .restore(&snap)
+        .expect("the intact checkpoint still restores");
+    assert_eq!(state_json(&mut target), good);
+}
+
 /// FNV-1a of a text's bytes.
 fn fnv1a(text: &str) -> u64 {
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -600,10 +761,10 @@ fn checkpoint_text_is_pinned() {
     // The JSON a fixed run's checkpoint is written as, hashed when the
     // writer still formatted every number through `Display`: a change
     // to the writer must not move a single byte. Re-pinned for format
-    // v8, whose text carries every word of v7's: the `*_bits` keys lost
-    // their suffix, the simulator's directly kept fields nest under
-    // `sim.state`, and the version word changed.
-    const PINNED: u64 = 0x789d_4c7f_0334_5f5d;
+    // v9, whose text carries every word of v8's: the bus links and the
+    // resident lists are written as word columns, and the version word
+    // changed.
+    const PINNED: u64 = 0xde05_8107_b81f_8b88;
     let mut runner = Runner::new(&stressed_config());
     for _ in 0..150 {
         runner.tick();
@@ -647,6 +808,60 @@ fn hoist(text: &str, key: &str) -> String {
     format!("{}{}{}", &text[..start], &text[body..end], &text[end + 1..])
 }
 
+/// `text` with its one `"key":{...}` member's object (which holds no
+/// nested object) replaced by `with`.
+fn replace_object(text: &str, key: &str, with: &str) -> String {
+    let open = format!("\"{key}\":{{");
+    let start = text.find(&open).expect("key present") + open.len() - 1;
+    let end = start + text[start..].find('}').expect("object closes") + 1;
+    format!("{}{with}{}", &text[..start], &text[end..])
+}
+
+/// `text` with the bus links and resident lists written back in the
+/// format-v8 layout: one `{next_seq, accepted_seq, pending}` object per
+/// link, `pending` a `{seq, watts, attempts, next_retry_at}` object or
+/// `null`, and one array per server's resident list.
+fn v8_layout(text: &str) -> String {
+    let (_, next_seq) = words_at(text, "next_seq");
+    let (_, accepted_seq) = words_at(text, "accepted_seq");
+    let (_, pending) = words_at(text, "pending");
+    let mut records = pending.chunks_exact(5).peekable();
+    let links: Vec<String> = next_seq
+        .iter()
+        .zip(&accepted_seq)
+        .enumerate()
+        .map(|(link, (n, a))| {
+            let p = records.next_if(|r| r[0] == link as u64).map_or_else(
+                || "null".to_string(),
+                |r| {
+                    format!(
+                        "{{\"seq\":{},\"watts\":{},\"attempts\":{},\"next_retry_at\":{}}}",
+                        r[1], r[2], r[3], r[4]
+                    )
+                },
+            );
+            format!("{{\"next_seq\":{n},\"accepted_seq\":{a},\"pending\":{p}}}")
+        })
+        .collect();
+    assert!(
+        records.next().is_none(),
+        "every pending record names a link"
+    );
+    let (_, len) = words_at(text, "len");
+    let (_, vms) = words_at(text, "vms");
+    let mut rest = &vms[..];
+    let lists: Vec<String> = len
+        .iter()
+        .map(|&k| {
+            let (list, tail) = rest.split_at(k as usize);
+            rest = tail;
+            format!("[{}]", join(list))
+        })
+        .collect();
+    let text = replace_object(text, "links", &format!("[{}]", links.join(",")));
+    replace_object(&text, "residents", &format!("[{}]", lists.join(",")))
+}
+
 #[test]
 fn load_reports_an_older_format_version_before_mapping_fields() {
     let cfg = stressed_config();
@@ -661,17 +876,19 @@ fn load_reports_an_older_format_version_before_mapping_fields() {
         runner.snapshot()
     );
 
-    // A version-7 file: older version word, the simulator's fields
-    // directly under `sim`, and every float word under a `*_bits` key.
-    // A version-6 file also has the flat layout — every layer's fields
-    // at the top level. A version-5 file also has the VMC window under
-    // its real-utilization names (v5 kept a real and an apparent one),
-    // and a version-4 file the event ring in the old nested layout. The
-    // current field mapping reads none of them.
+    // A version-8 file: older version word, one object per bus link and
+    // one array per server's resident list. A version-7 file also has
+    // the simulator's fields directly under `sim`, and every float word
+    // under a `*_bits` key. A version-6 file also has the flat layout —
+    // every layer's fields at the top level. A version-5 file also has
+    // the VMC window under its real-utilization names (v5 kept a real
+    // and an apparent one), and a version-4 file the event ring in the
+    // old nested layout. The current field mapping reads none of them.
     let current = format!("\"version\":{}", RunnerSnapshot::VERSION);
     let text = std::fs::read_to_string(&path).expect("reads");
     assert!(text.starts_with(&format!("{{{current},")));
-    let mut v7 = hoist(&text.replacen(&current, "\"version\":7", 1), "state");
+    let v8 = v8_layout(&text.replacen(&current, "\"version\":8", 1));
+    let mut v7 = hoist(&v8.replacen("\"version\":8", "\"version\":7", 1), "state");
     for name in [
         "util",
         "power",
@@ -725,7 +942,7 @@ fn load_reports_an_older_format_version_before_mapping_fields() {
     let v4 =
         v5.replacen("\"version\":5", "\"version\":4", 1)
             .replacen("\"words\":[", "\"ring\":[", 1);
-    for (version, old) in [(7, v7), (6, v6), (5, v5), (4, v4)] {
+    for (version, old) in [(8, v8), (7, v7), (6, v6), (5, v5), (4, v4)] {
         assert!(
             serde_json::from_str::<RunnerSnapshot>(&old).is_err(),
             "a version-{version} layout must not map onto the current fields"
