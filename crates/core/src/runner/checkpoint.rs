@@ -33,7 +33,8 @@ pub struct RunnerSnapshot {
     pub label: String,
     /// Ticks simulated when the checkpoint was taken.
     pub ticks_done: u64,
-    /// Simulator state (placement, P-states, accumulators, thermal).
+    /// Simulator state (placement, accumulators, thermal) and its
+    /// P-state actuators.
     pub sim: SimSnapshot,
     /// Fault-injector RNG and latched fault state.
     pub injector: InjectorSnapshot,
@@ -60,9 +61,10 @@ pub struct RunnerSnapshot {
 impl RunnerSnapshot {
     /// Current checkpoint format version. Bump on any layout change —
     /// restore refuses checkpoints from other versions. DESIGN.md §9
-    /// describes what each version changed; version 9 writes the bus
-    /// links and the simulator's resident lists as word columns.
-    pub const VERSION: u32 = 9;
+    /// describes what each version changed; version 10 drops the
+    /// simulator's event ring and same-tick write flags and moves its
+    /// P-states and conflict counter into their own `sim.act` section.
+    pub const VERSION: u32 = 10;
 
     /// Writes the checkpoint to `path` as JSON, atomically: the bytes go
     /// to a sibling temp file first and are renamed into place, so a
@@ -130,9 +132,10 @@ impl RunnerSnapshot {
 impl Runner {
     /// Captures the runner's complete dynamic state — simulator,
     /// controllers, bus in-flight queues, injector RNG, measurement
-    /// windows, accumulators — for bit-exact resumption. The telemetry
-    /// recorder and power trace are diagnostics and are *not* part of the
-    /// checkpoint. Emits a `Checkpoint` telemetry event.
+    /// windows, accumulators — for bit-exact resumption. Diagnostics —
+    /// the telemetry recorder, the power trace and the timing counters —
+    /// are *not* part of the checkpoint. Emits a `Checkpoint` telemetry
+    /// event.
     pub fn snapshot(&mut self) -> RunnerSnapshot {
         let env = &mut self.env;
         let t = env.t;
@@ -189,8 +192,8 @@ impl Runner {
             .fits(&snap.plane)
             .map_err(|e| CoreError::Checkpoint(format!("checkpoint {e}")))?;
         // First mutation, and fallible: the simulator checks its shape
-        // and decodes its event words before assigning anything, so a
-        // misshapen simulator snapshot leaves the whole runner untouched.
+        // before assigning anything, so a misshapen simulator snapshot
+        // leaves the whole runner untouched.
         let env = &mut self.env;
         env.sim
             .restore(&snap.sim)

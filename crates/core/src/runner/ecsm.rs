@@ -118,7 +118,6 @@ impl EcSm {
         let (view, shards) = server_shards(
             &env.shards,
             &mut env.scratch,
-            &mut env.shard_effects,
             &mut env.sim,
             &mut self.bank,
             &mut env.injector,
@@ -169,6 +168,7 @@ impl EcSm {
                     }
                 }
             }
+            sh.sc.conflicts += sh.act.conflicts();
         });
         env.reduce_shards(|env, sc| env.replay(&mut sc.telemetry));
     }
@@ -188,7 +188,6 @@ impl EcSm {
         let (view, shards) = server_shards(
             &env.shards,
             &mut env.scratch,
-            &mut env.shard_effects,
             &mut env.sim,
             &mut self.bank,
             &mut env.injector,
@@ -305,6 +304,7 @@ impl EcSm {
                     }
                 }
             }
+            sh.sc.conflicts += sh.act.conflicts();
         });
         env.reduce_shards(|env, sc| env.replay(&mut sc.telemetry))
     }

@@ -187,25 +187,23 @@ impl Managers {
         let mut last_encs = Carve::new(&mut self.w.last_encpow_em[..]);
         let mut was_downs = Carve::new(&mut self.w.em_was_down[..]);
         let mut emss = Carve::new(&mut self.ems[..]);
-        let shards = (env.scratch.iter_mut().zip(&mut env.shard_effects))
-            .enumerate()
-            .map(move |(k, (sc, eff))| {
-                let (r, encs) = (ranges[k].clone(), shard_encs[k].clone());
-                EmShard {
-                    lo: r.start,
-                    enc_lo: encs.start,
-                    bank: banks.take(r.clone()),
-                    act: acts.take(r.clone(), eff),
-                    draw: draws.take(r.clone()),
-                    sense: senses.take(encs.clone()),
-                    snap_pow: snap_pows.take(r),
-                    snap_encpow: snap_encs.take(encs.clone()),
-                    last_encpow: last_encs.take(encs.clone()),
-                    em_was_down: was_downs.take(encs.clone()),
-                    ems: emss.take(encs),
-                    sc,
-                }
-            });
+        let shards = env.scratch.iter_mut().enumerate().map(move |(k, sc)| {
+            let (r, encs) = (ranges[k].clone(), shard_encs[k].clone());
+            EmShard {
+                lo: r.start,
+                enc_lo: encs.start,
+                bank: banks.take(r.clone()),
+                act: acts.take(r.clone()),
+                draw: draws.take(r.clone()),
+                sense: senses.take(encs.clone()),
+                snap_pow: snap_pows.take(r),
+                snap_encpow: snap_encs.take(encs.clone()),
+                last_encpow: last_encs.take(encs.clone()),
+                em_was_down: was_downs.take(encs.clone()),
+                ems: emss.take(encs),
+                sc,
+            }
+        });
         // Promotion state is frozen for the epoch (the failure detector
         // only runs in the global phase), so shards read it directly.
         let replicas: &[ReplicaState] = &plane.replicas.em_replicas;
@@ -368,6 +366,7 @@ impl Managers {
                 rec.events = sc.telemetry.len() - events;
                 sc.records.push(rec);
             }
+            sc.conflicts += act.conflicts();
         });
         let ems = &mut self.ems;
         env.reduce_shards(|env, sc| {

@@ -39,7 +39,7 @@ use nps_models::{PState, ServerModel};
 use nps_opt::Vmc;
 use nps_sim::{
     reduce, EnclosureId, FaultInjector, FaultPlan, FloatWord, RedundancyStats, ReplicaState,
-    ServerId, ShardEffects, SimConfig, Simulation, VmId, WorkerPool,
+    ServerId, SimConfig, Simulation, VmId, WorkerPool,
 };
 use std::ops::Range;
 use std::sync::Arc;
@@ -161,8 +161,6 @@ struct Env {
     shard_sa: Vec<Range<usize>>,
     /// Per-shard reusable buffers, drained by every epoch's reduction.
     scratch: Vec<ShardScratch>,
-    /// Per-shard P-state conflict buffers, likewise reused.
-    shard_effects: Vec<ShardEffects>,
 }
 
 impl Env {
@@ -192,27 +190,26 @@ impl Env {
     }
 
     /// Reduces the shards' buffers in shard order after a sharded epoch:
-    /// fault counters and P-state conflicts fold into the run, and `each`
-    /// replays whatever else the epoch buffered (telemetry, grants).
-    /// Ascending shards own ascending servers and enclosures, so the
-    /// replay is the one-shard order exactly. Returns the shards' summed
-    /// static-cap violation verdicts and leaves every buffer empty.
+    /// fault counters and P-state conflict counts fold into the run, and
+    /// `each` replays whatever else the epoch buffered (telemetry,
+    /// grants). Ascending shards own ascending servers and enclosures, so
+    /// the replay is the one-shard order exactly. Returns the shards'
+    /// summed static-cap violation verdicts and leaves every buffer empty.
     fn reduce_shards(
         &mut self,
         mut each: impl FnMut(&mut Self, &mut ShardScratch),
     ) -> ViolationCounter {
         let mut scratch = std::mem::take(&mut self.scratch);
-        let mut effects = std::mem::take(&mut self.shard_effects);
         let mut win = ViolationCounter::default();
-        for (sc, eff) in scratch.iter_mut().zip(&mut effects) {
+        for sc in &mut scratch {
             self.fstats.merge(&sc.fstats);
             sc.fstats = FaultStats::default();
             win.merge(std::mem::take(&mut sc.win));
-            self.sim.absorb_shard_effects(eff);
+            self.sim
+                .add_pstate_conflicts(std::mem::take(&mut sc.conflicts));
             each(self, sc);
         }
         self.scratch = scratch;
-        self.shard_effects = effects;
         win
     }
 
@@ -371,10 +368,6 @@ impl Runner {
             pool.is_some().then_some(shards.len()),
         );
         let scratch = shards.iter().map(|_| ShardScratch::default()).collect();
-        let shard_effects = shards
-            .iter()
-            .map(|r| ShardEffects::with_capacity(r.len()))
-            .collect();
 
         let injector = FaultInjector::new(&cfg.faults, n, num_enclosures, n - flat);
         let env = Env {
@@ -395,7 +388,6 @@ impl Runner {
             shard_encs,
             shard_sa,
             scratch,
-            shard_effects,
         };
         let ecsm = EcSm::new(bank, &env.models);
         let mgr = Managers::new(ems, gm, &env, cfg.sim.enclosure_base_watts);

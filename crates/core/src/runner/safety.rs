@@ -85,12 +85,10 @@ impl Safety {
         let ranges = &env.shards;
         let (view, mut acts) = env.sim.epoch_shards();
         let mut draws = env.injector.actuator_shards();
-        let shards = (env.scratch.iter_mut().zip(&mut env.shard_effects))
-            .enumerate()
-            .map(move |(k, (sc, eff))| {
-                let r = ranges[k].clone();
-                (r.clone(), acts.take(r.clone(), eff), draws.take(r), sc)
-            });
+        let shards = env.scratch.iter_mut().enumerate().map(move |(k, sc)| {
+            let r = ranges[k].clone();
+            (r.clone(), acts.take(r.clone()), draws.take(r), sc)
+        });
         par::for_each_shard(env.pool.as_ref(), shards, move |sh| {
             let (range, mut act, mut draw, sc) = sh;
             for i in range {
@@ -125,6 +123,7 @@ impl Safety {
                     }
                 }
             }
+            sc.conflicts += act.conflicts();
         });
         env.reduce_shards(|env, sc| env.replay(&mut sc.telemetry));
     }

@@ -11,7 +11,7 @@ use nps_models::PState;
 use nps_sim::par::Carve;
 use nps_sim::{
     ActuatorDrawShard, ActuatorShard, FaultInjector, Outages, Reading, SensorChannel,
-    SensorDrawShard, ShardEffects, SimEpochView, Simulation,
+    SensorDrawShard, SimEpochView, Simulation,
 };
 use std::ops::Range;
 
@@ -24,6 +24,8 @@ pub(super) struct ShardScratch {
     pub(super) fstats: FaultStats,
     /// Static-cap violation verdicts (SM and EM epochs; order-free).
     pub(super) win: ViolationCounter,
+    /// P-state conflicts of the shard's actuator writes (order-free).
+    pub(super) conflicts: u64,
     pub(super) telemetry: Vec<TelemetryEvent>,
     /// GM window pass: standalone-child telemetry, replayed after every
     /// shard's enclosure telemetry.
@@ -125,7 +127,6 @@ pub(super) struct GmShard<'a> {
 pub(super) fn server_shards<'a>(
     ranges: &'a [Range<usize>],
     scratch: &'a mut [ShardScratch],
-    effects: &'a mut [ShardEffects],
     sim: &'a mut Simulation,
     bank: &'a mut ControllerBank,
     injector: &'a mut FaultInjector,
@@ -142,23 +143,21 @@ pub(super) fn server_shards<'a>(
     let (mut draws, mut senses, outages) = injector.draw_shards(channel);
     let (mut snaps, mut lasts) = (Carve::new(snap), Carve::new(last_good));
     let mut holds = Carve::new(sm_hold);
-    let shards = (scratch.iter_mut().zip(effects))
-        .enumerate()
-        .map(move |(k, (sc, eff))| {
-            let r = ranges[k].clone();
-            EpochShard {
-                bank: banks.take(r.clone()),
-                act: acts.take(r.clone(), eff),
-                draw: draws.take(r.clone()),
-                sense: senses.take(r.clone()),
-                outages,
-                snap: snaps.take(r.clone()),
-                last_good: lasts.take(r.clone()),
-                sm_hold: holds.take(r.clone()),
-                range: r,
-                sc,
-            }
-        });
+    let shards = scratch.iter_mut().enumerate().map(move |(k, sc)| {
+        let r = ranges[k].clone();
+        EpochShard {
+            bank: banks.take(r.clone()),
+            act: acts.take(r.clone()),
+            draw: draws.take(r.clone()),
+            sense: senses.take(r.clone()),
+            outages,
+            snap: snaps.take(r.clone()),
+            last_good: lasts.take(r.clone()),
+            sm_hold: holds.take(r.clone()),
+            range: r,
+            sc,
+        }
+    });
     (view, shards)
 }
 

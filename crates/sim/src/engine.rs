@@ -8,7 +8,6 @@ use nps_traces::UtilTrace;
 
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::events::{Event, EventLog, EventLogError, EventLogSnapshot};
 use crate::ids::{EnclosureId, ServerId, VmId};
 use crate::par::{for_each_shard, Carve, WorkerPool};
 use crate::placement::Placement;
@@ -37,7 +36,7 @@ pub struct VmObservation {
 /// migrations). Within one tick, multiple P-state writes to the same
 /// server are last-writer-wins — exactly the actuator overlap that makes
 /// uncoordinated controllers fight (paper §2.3); the engine counts such
-/// conflicts for diagnosis.
+/// conflicts in [`Actuators::conflicts`].
 #[derive(Debug, Clone)]
 pub struct Simulation {
     cfg: SimConfig,
@@ -48,11 +47,17 @@ pub struct Simulation {
     /// per-tick hot loop (bit-identical to the per-object lookups).
     table: ModelTable,
     traces: Vec<UtilTrace>,
-    /// Every checkpointed array and counter but the two below.
+    /// Every checkpointed array and counter but the actuators and the
+    /// per-VM observations.
     state: SimState,
+    /// The P-state actuators and their conflict counter (checkpointed).
+    act: Actuators,
+    /// Same-tick P-state write flags: set by every write, cleared by
+    /// every step and every restore. Never checkpointed: a checkpoint is
+    /// taken between ticks, so a resumed tick starts with them clear.
+    written: Vec<bool>,
     /// Last-tick per-VM observations (checkpointed as flat words).
     vm_obs: Vec<VmObservation>,
-    events: EventLog,
     /// Per-server capacity share of the step in progress, written by the
     /// shards of [`Simulation::step_sharded`] and read by its per-VM
     /// pass. Pure scratch: overwritten every step, never snapshotted.
@@ -123,7 +128,6 @@ impl Simulation {
             placement,
             residents: ResidentLists(residents),
             on: vec![true; n],
-            pstate: PStates(vec![PState::P0; n]),
             mig_until: vec![0; num_vms],
             boot_until: vec![0; n],
             tick: 0,
@@ -134,8 +138,6 @@ impl Simulation {
             cum_util: FloatBits(vec![0.0; n]),
             cum_delivered: FloatBits(vec![0.0; num_vms]),
             cum_demand: FloatBits(vec![0.0; num_vms]),
-            pstate_written_this_tick: vec![false; n],
-            pstate_conflicts: 0,
             migrations_started: 0,
             thermal: cfg.thermal.map(|tc| ThermalState::new(tc, n)),
         };
@@ -146,8 +148,12 @@ impl Simulation {
             table,
             traces,
             state,
+            act: Actuators {
+                pstate: PStates(vec![PState::P0; n]),
+                conflicts: 0,
+            },
+            written: vec![false; n],
             vm_obs: vec![VmObservation::default(); num_vms],
-            events: EventLog::new(4_096),
             scratch_share: vec![0.0; n],
             scratch_enc_sums: vec![0.0; num_enclosures],
         })
@@ -239,7 +245,7 @@ impl Simulation {
             )
         });
         let on = &st.on;
-        let pstate: &[PState] = &st.pstate;
+        let pstate: &[PState] = &self.act.pstate;
         let boot_until = &st.boot_until;
         let residents = &st.residents;
         let vm_obs = &self.vm_obs;
@@ -310,17 +316,10 @@ impl Simulation {
         }
         // 5. Thermal.
         if let Some(thermal) = &mut st.thermal {
-            for failed in thermal.step(&st.power) {
-                self.events.record(
-                    t,
-                    Event::ThermalFailover {
-                        server: ServerId(failed),
-                    },
-                );
-            }
+            thermal.step(&st.power);
         }
         // 6. Bookkeeping.
-        st.pstate_written_this_tick.fill(false);
+        self.written.fill(false);
         st.tick += 1;
     }
 
@@ -472,7 +471,7 @@ impl Simulation {
     /// Number of same-tick conflicting P-state writes observed so far —
     /// the "power struggle" signature of uncoordinated deployments.
     pub fn pstate_conflicts(&self) -> u64 {
-        self.state.pstate_conflicts
+        self.act.conflicts
     }
 
     /// Number of migrations started so far.
@@ -485,7 +484,7 @@ impl Simulation {
     /// Current P-state of `s`.
     #[inline]
     pub fn pstate(&self, s: ServerId) -> PState {
-        self.state.pstate[s.index()]
+        self.act.pstate[s.index()]
     }
 
     /// Writes the P-state of `s`. Multiple writes within the same tick are
@@ -493,14 +492,14 @@ impl Simulation {
     #[inline]
     pub fn set_pstate(&mut self, s: ServerId, p: PState) {
         let i = s.index();
-        let p = PState(p.index().min(self.table.num_pstates(i) - 1));
-        if self.state.pstate_written_this_tick[i] && self.state.pstate[i] != p {
-            self.state.pstate_conflicts += 1;
-            self.events
-                .record(self.state.tick, Event::PStateConflict { server: s });
-        }
-        self.state.pstate_written_this_tick[i] = true;
-        self.state.pstate[i] = p;
+        write_pstate(
+            &self.table,
+            i,
+            p,
+            &mut self.act.pstate[i],
+            &mut self.written[i],
+            &mut self.act.conflicts,
+        );
     }
 
     /// Whether `s` is powered on and has not tripped thermal failover.
@@ -517,10 +516,6 @@ impl Simulation {
         if vms > 0 {
             return Err(SimError::ServerNotEmpty { server: s, vms });
         }
-        if self.state.on[s.index()] {
-            self.events
-                .record(self.state.tick, Event::PoweredOff { server: s });
-        }
         self.state.on[s.index()] = false;
         Ok(())
     }
@@ -531,11 +526,9 @@ impl Simulation {
         self.topo.check_server(s)?;
         if !self.state.on[s.index()] {
             self.state.boot_until[s.index()] = self.state.tick + self.cfg.boot_delay_ticks;
-            self.events
-                .record(self.state.tick, Event::PoweredOn { server: s });
         }
         self.state.on[s.index()] = true;
-        self.state.pstate[s.index()] = PState::P0;
+        self.act.pstate[s.index()] = PState::P0;
         Ok(())
     }
 
@@ -558,15 +551,7 @@ impl Simulation {
         self.state.placement.assign(vm, to);
         self.state.mig_until[vm.index()] = self.state.tick + self.cfg.migration_ticks;
         self.state.migrations_started += 1;
-        self.events
-            .record(self.state.tick, Event::MigrationStarted { vm, from, to });
         Ok(())
-    }
-
-    /// The structured event log (migrations, power transitions, races,
-    /// failovers) — the audit trail a production deployment would keep.
-    pub fn events(&self) -> &EventLog {
-        &self.events
     }
 
     // ----- rack sharding --------------------------------------------------
@@ -577,41 +562,24 @@ impl Simulation {
     /// flags) plus a shared [`SimEpochView`] of everything epoch workers
     /// only read. Ranges must be taken densely, in order, from server 0.
     ///
-    /// Each shard buffers its P-state conflicts in its [`ShardEffects`];
-    /// after the epoch, pass those buffers to
-    /// [`Simulation::absorb_shard_effects`] *in shard order* to reproduce
-    /// a one-shard run's event stream.
+    /// Each shard counts its P-state conflicts in a plain integer
+    /// ([`ActuatorShard::conflicts`]); after the epoch, add the counts
+    /// with [`Simulation::add_pstate_conflicts`] (an integer sum, so the
+    /// shard order does not matter).
     pub fn epoch_shards(&mut self) -> (SimEpochView<'_>, ActuatorCarve<'_>) {
         let carve = ActuatorCarve {
             table: &self.table,
-            pstate: Carve::new(&mut self.state.pstate),
-            written: Carve::new(&mut self.state.pstate_written_this_tick),
+            pstate: Carve::new(&mut self.act.pstate),
+            written: Carve::new(&mut self.written),
         };
-        let view = SimEpochView {
-            on: &self.state.on,
-            thermal: self.state.thermal.as_ref(),
-            util: &self.state.util,
-            cum_power: &self.state.cum_power,
-            cum_enc_power: &self.state.cum_enc_power,
-            cum_util: &self.state.cum_util,
-            tick: self.state.tick,
-        };
-        (view, carve)
+        (SimEpochView::new(&self.state), carve)
     }
 
     /// A read-only [`SimEpochView`] over the current state, for sharded
     /// phases that only read sensors (e.g. the GM's window pass) and need
     /// no actuator shards.
     pub fn epoch_view(&self) -> SimEpochView<'_> {
-        SimEpochView {
-            on: &self.state.on,
-            thermal: self.state.thermal.as_ref(),
-            util: &self.state.util,
-            cum_power: &self.state.cum_power,
-            cum_enc_power: &self.state.cum_enc_power,
-            cum_util: &self.state.cum_util,
-            tick: self.state.tick,
-        }
+        SimEpochView::new(&self.state)
     }
 
     /// A read-only per-VM view for sharded phases that accumulate VM
@@ -624,25 +592,16 @@ impl Simulation {
             placement: &self.state.placement,
             on: &self.state.on,
             thermal: self.state.thermal.as_ref(),
-            pstate: &self.state.pstate,
+            pstate: &self.act.pstate,
             table: &self.table,
         }
     }
 
-    /// Counts and logs one shard's buffered P-state conflicts and empties
-    /// the buffer, keeping its capacity. Call once per shard in ascending
-    /// shard order, within the tick the shards were carved in, so the
-    /// event log matches a one-shard epoch's emission order exactly.
+    /// Adds `n` P-state conflicts counted by an [`ActuatorShard`] during
+    /// a sharded epoch to [`Simulation::pstate_conflicts`].
     #[inline]
-    pub fn absorb_shard_effects(&mut self, effects: &mut ShardEffects) {
-        if effects.conflicts.is_empty() {
-            return;
-        }
-        self.state.pstate_conflicts += effects.conflicts.len() as u64;
-        for server in effects.conflicts.drain(..) {
-            self.events
-                .record(self.state.tick, Event::PStateConflict { server });
-        }
+    pub fn add_pstate_conflicts(&mut self, n: u64) {
+        self.act.conflicts += n;
     }
 
     // ----- thermal --------------------------------------------------------
@@ -673,8 +632,8 @@ impl Simulation {
     // ----- checkpointing --------------------------------------------------
 
     /// Captures the simulator's full dynamic state for checkpointing: a
-    /// clone of its state, the per-VM observations as flat words and the
-    /// event ring.
+    /// clone of its state and its actuators, and the per-VM observations
+    /// as flat words.
     ///
     /// Static structure (topology, models, traces, config) is *not*
     /// captured — a restore target is rebuilt from the same experiment
@@ -682,13 +641,13 @@ impl Simulation {
     pub fn snapshot(&self) -> SimSnapshot {
         SimSnapshot {
             state: self.state.clone(),
+            act: self.act.clone(),
             vm_obs: FloatBits(
                 self.vm_obs
                     .iter()
                     .flat_map(|o| [o.demand, o.granted, o.delivered])
                     .collect(),
             ),
-            events: self.events.snapshot(),
         }
     }
 
@@ -709,7 +668,7 @@ impl Simulation {
             ("state.placement.host", st.placement.num_vms(), vms),
             ("state.residents", st.residents.len(), servers),
             ("state.on", st.on.len(), servers),
-            ("state.pstate", st.pstate.len(), servers),
+            ("act.pstate", snap.act.pstate.len(), servers),
             ("state.mig_until", st.mig_until.len(), vms),
             ("state.boot_until", st.boot_until.len(), servers),
             ("state.util", st.util.len(), servers),
@@ -723,11 +682,6 @@ impl Simulation {
             ("state.cum_util", st.cum_util.len(), servers),
             ("state.cum_delivered", st.cum_delivered.len(), vms),
             ("state.cum_demand", st.cum_demand.len(), vms),
-            (
-                "state.pstate_written_this_tick",
-                st.pstate_written_this_tick.len(),
-                servers,
-            ),
             ("state.thermal.temps_c", temps, thermal_servers),
             ("state.thermal.failed", failed, thermal_servers),
             ("vm_obs", snap.vm_obs.len(), 3 * vms),
@@ -740,8 +694,9 @@ impl Simulation {
             });
         }
         let entry = |field, index| Err(SimError::SnapshotEntry { field, index });
-        if let Some(s) = (0..servers).find(|&s| st.pstate[s].index() >= self.table.num_pstates(s)) {
-            return entry("state.pstate", s);
+        let pstate = &snap.act.pstate;
+        if let Some(s) = (0..servers).find(|&s| pstate[s].index() >= self.table.num_pstates(s)) {
+            return entry("act.pstate", s);
         }
         if let Some((vm, _)) = st
             .placement
@@ -772,20 +727,15 @@ impl Simulation {
     /// config.
     ///
     /// The snapshot's shape is checked (array lengths, host, P-state and
-    /// resident indices) and the event log is checked against this
-    /// simulator's ring capacity and decoded before anything is
-    /// assigned, so a misshapen snapshot or a malformed log is an error
-    /// that leaves the simulator untouched.
+    /// resident indices) before anything is assigned, so a misshapen
+    /// snapshot is an error that leaves the simulator untouched. The
+    /// same-tick write flags are cleared, as a step clears them: the
+    /// target may have written P-states since it was built.
     pub fn restore(&mut self, snap: &SimSnapshot) -> Result<()> {
         self.fits(snap)?;
-        if snap.events.capacity != self.events.capacity() {
-            return Err(SimError::EventLog(EventLogError::CapacityMismatch {
-                checkpoint: snap.events.capacity,
-                expected: self.events.capacity(),
-            }));
-        }
-        self.events = EventLog::from_snapshot(&snap.events).map_err(SimError::EventLog)?;
         self.state.clone_from(&snap.state);
+        self.act.clone_from(&snap.act);
+        self.written.fill(false);
         self.vm_obs = snap
             .vm_obs
             .chunks_exact(3)
@@ -806,6 +756,27 @@ fn powered(on: &[bool], thermal: Option<&ThermalState>, i: usize) -> bool {
     on[i] && thermal.map(|t| !t.is_failed(i)).unwrap_or(true)
 }
 
+/// The one P-state write behind [`Simulation::set_pstate`] and
+/// [`ActuatorShard::set_pstate`]: clamp to server `i`'s deepest state,
+/// count a differing repeat write within the tick as a conflict, and let
+/// the last writer win.
+#[inline]
+fn write_pstate(
+    table: &ModelTable,
+    i: usize,
+    p: PState,
+    pstate: &mut PState,
+    written: &mut bool,
+    conflicts: &mut u64,
+) {
+    let p = PState(p.index().min(table.num_pstates(i) - 1));
+    if *written && *pstate != p {
+        *conflicts += 1;
+    }
+    *written = true;
+    *pstate = p;
+}
+
 /// Read-only facts shared with every worker during a parallel
 /// controller epoch. Borrowed from the simulator by
 /// [`Simulation::epoch_shards`]; all slices are indexed by global
@@ -821,7 +792,19 @@ pub struct SimEpochView<'a> {
     tick: u64,
 }
 
-impl SimEpochView<'_> {
+impl<'a> SimEpochView<'a> {
+    fn new(st: &'a SimState) -> Self {
+        Self {
+            on: &st.on,
+            thermal: st.thermal.as_ref(),
+            util: &st.util,
+            cum_power: &st.cum_power,
+            cum_enc_power: &st.cum_enc_power,
+            cum_util: &st.cum_util,
+            tick: st.tick,
+        }
+    }
+
     /// Same as [`Simulation::is_on`].
     #[inline]
     pub fn is_on(&self, s: ServerId) -> bool {
@@ -907,28 +890,24 @@ pub struct ActuatorCarve<'a> {
 }
 
 impl<'a> ActuatorCarve<'a> {
-    /// The actuator shard for server `range`, buffering its conflicts
-    /// into `effects`.
+    /// The actuator shard for server `range`.
     #[inline]
-    pub fn take(
-        &mut self,
-        range: Range<usize>,
-        effects: &'a mut ShardEffects,
-    ) -> ActuatorShard<'a> {
+    pub fn take(&mut self, range: Range<usize>) -> ActuatorShard<'a> {
         ActuatorShard {
             lo: range.start,
             table: self.table,
             pstate: self.pstate.take(range.clone()),
             written: self.written.take(range),
-            effects,
+            conflicts: 0,
         }
     }
 }
 
 /// One shard's exclusive slice of the simulator's actuation state
 /// (P-states and same-tick write flags) during a sharded epoch.
-/// Indices are global server ids. Conflicts are buffered in the shard's
-/// [`ShardEffects`] and merged in shard order afterwards.
+/// Indices are global server ids. The shard counts its own conflicts;
+/// the caller adds the count to the simulator's after the epoch
+/// ([`Simulation::add_pstate_conflicts`]).
 #[derive(Debug)]
 pub struct ActuatorShard<'a> {
     /// First global server id of this shard.
@@ -936,7 +915,7 @@ pub struct ActuatorShard<'a> {
     table: &'a ModelTable,
     pstate: &'a mut [PState],
     written: &'a mut [bool],
-    effects: &'a mut ShardEffects,
+    conflicts: u64,
 }
 
 impl ActuatorShard<'_> {
@@ -947,43 +926,31 @@ impl ActuatorShard<'_> {
         self.pstate[s.index() - self.lo]
     }
 
-    /// Writes the P-state of `s` — the exact semantics of
-    /// [`Simulation::set_pstate`] (clamp to the model's deepest state,
-    /// last-writer-wins, conflicting repeat writes counted), with the
-    /// conflict event buffered.
+    /// Writes the P-state of `s` — the one write body of
+    /// [`Simulation::set_pstate`].
     #[inline]
     pub fn set_pstate(&mut self, s: ServerId, p: PState) {
         let k = s.index() - self.lo;
-        let p = PState(p.index().min(self.table.num_pstates(s.index()) - 1));
-        if self.written[k] && self.pstate[k] != p {
-            self.effects.conflicts.push(s);
-        }
-        self.written[k] = true;
-        self.pstate[k] = p;
+        write_pstate(
+            self.table,
+            s.index(),
+            p,
+            &mut self.pstate[k],
+            &mut self.written[k],
+            &mut self.conflicts,
+        );
+    }
+
+    /// Conflicting P-state writes this shard has made.
+    #[inline]
+    pub fn conflicts(&self) -> u64 {
+        self.conflicts
     }
 }
 
-/// Actuation side effects buffered by one [`ActuatorShard`] during a
-/// sharded epoch: the servers of its P-state conflicts, in write order.
-/// Owned by the caller and reused across epochs.
-#[derive(Debug, Default)]
-pub struct ShardEffects {
-    conflicts: Vec<ServerId>,
-}
-
-impl ShardEffects {
-    /// An empty buffer with room for one conflict per server of a shard
-    /// of `servers` servers. An epoch writes each server at most once,
-    /// so it conflicts at most that often and buffering never allocates.
-    pub fn with_capacity(servers: usize) -> Self {
-        Self {
-            conflicts: Vec::with_capacity(servers),
-        }
-    }
-}
-
-/// The simulator's checkpointed state, kept whole by [`Simulation`]:
-/// floats as IEEE-754 bit words, P-states and VM ids as their indices.
+/// The simulator's checkpointed state but its actuators, kept whole by
+/// [`Simulation`]: floats as IEEE-754 bit words, VM ids as their
+/// indices.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SimState {
     /// The `X` matrix.
@@ -994,8 +961,6 @@ pub struct SimState {
     pub residents: ResidentLists,
     /// Per-server power switch.
     pub on: Vec<bool>,
-    /// Per-server P-states.
-    pub pstate: PStates,
     /// Per-VM migration-penalty end ticks.
     pub mig_until: Vec<u64>,
     /// Per-server boot-window end ticks.
@@ -1016,14 +981,21 @@ pub struct SimState {
     pub cum_delivered: FloatBits,
     /// Cumulative demand.
     pub cum_demand: FloatBits,
-    /// Same-tick P-state write flags.
-    pub pstate_written_this_tick: Vec<bool>,
-    /// Conflicting-write counter.
-    pub pstate_conflicts: u64,
     /// Migration counter.
     pub migrations_started: u64,
     /// Thermal state, if tracking is enabled.
     pub thermal: Option<ThermalState>,
+}
+
+/// The simulator's P-state actuators, kept whole by [`Simulation`]
+/// beside its [`SimState`].
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct Actuators {
+    /// Per-server P-states, as their indices.
+    pub pstate: PStates,
+    /// Same-tick conflicting P-state writes so far — the "power
+    /// struggle" signature of uncoordinated deployments.
+    pub conflicts: u64,
 }
 
 /// The simulator's full dynamic state (checkpoint section).
@@ -1031,10 +1003,10 @@ pub struct SimState {
 pub struct SimSnapshot {
     /// Every array and counter the simulator keeps in its state.
     pub state: SimState,
+    /// The P-state actuators.
+    pub act: Actuators,
     /// Per-VM observations, three words (demand, granted, delivered) each.
     pub vm_obs: FloatBits,
-    /// The structured event log as flat words.
-    pub events: EventLogSnapshot,
 }
 
 #[cfg(test)]
@@ -1230,6 +1202,38 @@ mod tests {
         sim.set_pstate(ServerId(0), PState(0)); // new tick: no conflict
         assert_eq!(sim.pstate_conflicts(), 1);
         assert_eq!(sim.pstate(ServerId(0)), PState(0));
+        // A restore clears the flags as a step does.
+        let snap = sim.snapshot();
+        sim.restore(&snap).unwrap();
+        sim.set_pstate(ServerId(0), PState(3));
+        assert_eq!(sim.pstate_conflicts(), 1);
+
+        // Two shards of one sharded epoch: each counts its own
+        // conflicts, and the sum lands in the simulator's counter.
+        let mut sim = small_sim(&[0.5, 0.5, 0.5]);
+        let counts = {
+            let (_, mut carve) = sim.epoch_shards();
+            let mut a = carve.take(0..1);
+            let mut b = carve.take(1..3);
+            a.set_pstate(ServerId(0), PState(2));
+            a.set_pstate(ServerId(0), PState(4)); // conflict
+            b.set_pstate(ServerId(1), PState(1));
+            b.set_pstate(ServerId(1), PState(1)); // same value: none
+            b.set_pstate(ServerId(2), PState(3));
+            b.set_pstate(ServerId(2), PState(0)); // conflict
+            b.set_pstate(ServerId(2), PState(1)); // conflict
+            assert_eq!(b.pstate(ServerId(2)), PState(1));
+            [a.conflicts(), b.conflicts()]
+        };
+        assert_eq!(counts, [1, 2]);
+        counts.into_iter().for_each(|n| sim.add_pstate_conflicts(n));
+        assert_eq!(sim.pstate_conflicts(), 3);
+        // The shards' writes set the same flags a direct write reads.
+        sim.set_pstate(ServerId(1), PState(2));
+        assert_eq!(sim.pstate_conflicts(), 4);
+        sim.step();
+        sim.set_pstate(ServerId(1), PState(0));
+        assert_eq!(sim.pstate_conflicts(), 4);
     }
 
     #[test]
@@ -1418,9 +1422,9 @@ mod tests {
                 },
             ),
             (
-                |s| s.state.pstate[2] = PState(99),
+                |s| s.act.pstate[2] = PState(99),
                 SimError::SnapshotEntry {
-                    field: "state.pstate",
+                    field: "act.pstate",
                     index: 2,
                 },
             ),

@@ -1,6 +1,5 @@
 use std::fmt;
 
-use crate::events::EventLogError;
 use crate::ids::{ServerId, VmId};
 
 /// Errors produced by the simulator.
@@ -41,8 +40,6 @@ pub enum SimError {
     /// A topology does not have the layout the builder produces (e.g. a
     /// hand-edited or corrupted config).
     MalformedTopology(&'static str),
-    /// A checkpointed event log could not be decoded.
-    EventLog(EventLogError),
     /// A checkpointed array does not have this simulation's length.
     SnapshotLength {
         /// The snapshot field.
@@ -87,7 +84,6 @@ impl fmt::Display for SimError {
                 f,
                 "{models} server models provided for a topology of {servers} servers"
             ),
-            SimError::EventLog(e) => write!(f, "malformed checkpoint event log: {e}"),
             SimError::SnapshotLength {
                 field,
                 found,

@@ -49,7 +49,6 @@ mod config;
 pub mod cooling;
 mod engine;
 mod error;
-mod events;
 mod faults;
 mod ids;
 pub mod par;
@@ -63,11 +62,10 @@ mod words;
 pub use bus::{BusConfig, BusEvent, BusSnapshot, ControlBus, GrantMsg, LinkId, RetryConfig};
 pub use config::SimConfig;
 pub use engine::{
-    ActuatorCarve, ActuatorShard, ShardEffects, SimEpochView, SimSnapshot, SimState, Simulation,
+    ActuatorCarve, ActuatorShard, Actuators, SimEpochView, SimSnapshot, SimState, Simulation,
     VmObservation, VmView,
 };
 pub use error::SimError;
-pub use events::{Event, EventLog, EventLogError, EventLogSnapshot, LoggedEvent};
 pub use faults::{
     ActuatorDrawCarve, ActuatorDrawShard, ActuatorFaultSpec, ControllerLayer, FaultInjector,
     FaultPlan, InjectorSnapshot, OutageWindow, Outages, Reading, SensorCarve, SensorChannel,

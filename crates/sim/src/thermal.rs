@@ -90,11 +90,9 @@ impl ThermalState {
         &self.config
     }
 
-    /// Advances one tick given each server's power draw. Returns the
-    /// indices of servers that *newly* failed over this tick. A failed
-    /// server stays failed until [`ThermalState::reset_server`].
-    pub fn step(&mut self, power_watts: &[f64]) -> Vec<usize> {
-        let mut new_failures = Vec::new();
+    /// Advances one tick given each server's power draw. A server that
+    /// fails over stays failed until [`ThermalState::reset_server`].
+    pub fn step(&mut self, power_watts: &[f64]) {
         for (i, &p) in power_watts.iter().enumerate().take(self.temps_c.len()) {
             let t = self.temps_c[i];
             let dt = (p - self.config.dissipation_w_per_c * (t - self.config.ambient_c))
@@ -103,10 +101,8 @@ impl ThermalState {
             if !self.failed[i] && self.temps_c[i] >= self.config.critical_c {
                 self.failed[i] = true;
                 self.failover_events += 1;
-                new_failures.push(i);
             }
         }
-        new_failures
     }
 
     /// Current temperature of server `i`, °C.
@@ -152,11 +148,9 @@ mod tests {
     fn sustained_overload_trips_failover() {
         let c = cfg();
         let mut s = ThermalState::new(c, 1);
-        let mut tripped = Vec::new();
         for _ in 0..2_000 {
-            tripped.extend(s.step(&[120.0]));
+            s.step(&[120.0]);
         }
-        assert_eq!(tripped, vec![0]);
         assert!(s.is_failed(0));
         assert_eq!(s.failover_events(), 1);
     }

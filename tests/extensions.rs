@@ -1,9 +1,8 @@
 //! Integration tests for the paper's §6/§7 extensions: heterogeneous
 //! fleets, boot delays, enclosure base power, energy-delay objectives,
-//! and the event audit trail.
+//! and the telemetry audit trail.
 
 use no_power_struggles::prelude::*;
-use no_power_struggles::sim::Event;
 
 #[test]
 fn heterogeneous_fleet_drains_high_idle_servers_first() {
@@ -114,25 +113,21 @@ fn event_log_records_the_run_story() {
         .seed(47)
         .build();
     let mut runner = Runner::new(&cfg);
+    runner.enable_ring_telemetry(1 << 20);
     runner.run_to_horizon();
-    let events = runner.sim().events();
-    assert!(events.total_events() > 0);
-    let migrations = events.filter(|e| matches!(e.event, Event::MigrationStarted { .. }));
-    assert_eq!(migrations.len() as u64, {
-        // All migrations retained unless the ring overflowed.
-        let total = runner.sim().migrations_started();
-        total.min(migrations.len() as u64)
-    });
-    let off = events.filter(|e| matches!(e.event, Event::PoweredOff { .. }));
+    let ring = runner.ring_telemetry().expect("ring installed");
+    // The VMC emits one Migration per migration the simulator starts.
+    let migrations = ring.count(EventKind::Migration);
+    assert!(migrations > 0, "consolidation must have migrated VMs");
+    assert_eq!(migrations, runner.sim().migrations_started());
     assert!(
-        !off.is_empty(),
+        ring.events()
+            .any(|e| matches!(e, TelemetryEvent::PowerOff { .. })),
         "consolidation must have powered servers off"
     );
     // Ticks are monotone oldest-first.
-    let recent = events.recent();
-    for w in recent.windows(2) {
-        assert!(w[0].tick <= w[1].tick);
-    }
+    let ticks: Vec<u64> = ring.events().map(TelemetryEvent::tick).collect();
+    assert!(ticks.windows(2).all(|w| w[0] <= w[1]));
 }
 
 #[test]
