@@ -87,10 +87,13 @@ fn bench_capping_slope(c: &mut Criterion) {
 }
 
 /// One GM epoch's grants on `paper180` (120 EM→blade + 66 GM→child
-/// links) into a reused event buffer. `send_into/*` is the runner's path:
-/// one `send_into` per grant, delivered at send time. `queued/*` keeps
-/// the queue's cost in view: `send` on every link, then one `poll_into`.
-/// With retries on, every delivery is also acked.
+/// links) into a reused event buffer. `at_once/*` is the runner's path on
+/// a bus that delivers at once (retries off): one quiet check per batch,
+/// then one `send_at_once` per grant over the contiguous link range.
+/// `send_into/*` is its path on every other bus: one `send_into` per
+/// grant, delivered at send time. `queued/*` keeps the queue's cost in
+/// view: `send` on every link, then one `poll_into`. With retries on,
+/// every delivery is also acked.
 fn bench_bus_grant(c: &mut Criterion) {
     const LINKS: usize = 186;
     let retrying = BusConfig::passthrough().with_retry(RetryConfig {
@@ -102,8 +105,9 @@ fn bench_bus_grant(c: &mut Criterion) {
         ("retries_off", BusConfig::passthrough()),
         ("retries_on", retrying),
     ] {
-        for queued in [false, true] {
-            let path = if queued { "queued" } else { "send_into" };
+        let at_once = ControlBus::new(&cfg).delivers_at_once();
+        let paths = ["at_once", "send_into", "queued"];
+        for path in paths.into_iter().filter(|&p| at_once || p != "at_once") {
             group.bench_function(format!("{path}/{retries}"), |b| {
                 let mut bus = ControlBus::new(&cfg);
                 for _ in 0..LINKS {
@@ -113,18 +117,29 @@ fn bench_bus_grant(c: &mut Criterion) {
                 let mut t = 0u64;
                 b.iter(|| {
                     let mut delivered = 0;
-                    for l in 0..LINKS {
-                        let watts = 100.0 + l as f64;
-                        if queued {
-                            bus.send(LinkId(l), watts, t, false);
-                        } else {
-                            bus.send_into(LinkId(l), watts, t, false, &mut events);
-                            delivered += events.len();
+                    match path {
+                        "at_once" => {
+                            assert!(bus.quiet_at(t));
+                            for l in 0..LINKS {
+                                let watts = 100.0 + l as f64;
+                                let event = bus.send_at_once(LinkId(l), watts, t, false);
+                                delivered += usize::from(event.is_some());
+                            }
                         }
-                    }
-                    if queued {
-                        bus.poll_into(t, &mut events);
-                        delivered = events.len();
+                        "send_into" => {
+                            for l in 0..LINKS {
+                                let watts = 100.0 + l as f64;
+                                bus.send_into(LinkId(l), watts, t, false, &mut events);
+                                delivered += events.len();
+                            }
+                        }
+                        _ => {
+                            for l in 0..LINKS {
+                                bus.send(LinkId(l), 100.0 + l as f64, t, false);
+                            }
+                            bus.poll_into(t, &mut events);
+                            delivered = events.len();
+                        }
                     }
                     t += 1;
                     black_box(delivered)

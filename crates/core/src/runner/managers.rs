@@ -378,10 +378,11 @@ impl Managers {
                 if rec.online && safety.on {
                     safety.check_conservation(env, rec.alloc_sum, rec.eff_cap, rec.enc);
                 }
-                let members = env.enc_offsets[rec.enc]..env.enc_offsets[rec.enc + 1];
-                for (i, &watts) in members.zip(&sc.grants[rec.grants]) {
-                    let slot = plane.server_link[i];
-                    plane.deliver_grant(env, slot, watts, bank, ems);
+                // An epoch either grants every member or none; a
+                // member's EM link slot is its server index.
+                if !rec.grants.is_empty() {
+                    let members = env.enc_offsets[rec.enc]..env.enc_offsets[rec.enc + 1];
+                    plane.deliver_grants(env, members, &sc.grants[rec.grants], bank, ems);
                 }
                 if rec.online {
                     if let Some(&slot) = plane.em_sync_link.get(rec.enc) {
@@ -563,12 +564,10 @@ impl Managers {
             safety.check_conservation(env, reduce::tree_sum(&self.alloc), eff_cap, 0);
         }
         if env.mode.budgets_flow_down() {
-            for (e, &watts) in self.alloc[..num_enclosures].iter().enumerate() {
-                plane.deliver_grant(env, plane.em_link[e], watts, bank, &mut self.ems);
-            }
-            for (i, &watts) in (flat..n).zip(&self.alloc[num_enclosures..]) {
-                plane.deliver_grant(env, plane.server_link[i], watts, bank, &mut self.ems);
-            }
+            let (to_ems, to_sas) = self.alloc.split_at(num_enclosures);
+            let (em_links, sa_links) = (plane.em_links.clone(), plane.sa_links.clone());
+            plane.deliver_grants(env, em_links, to_ems, bank, &mut self.ems);
+            plane.deliver_grants(env, sa_links, to_sas, bank, &mut self.ems);
         } else if group_total > self.gm.effective_cap_watts() {
             // Uncoordinated group capper: directly clamp standalone
             // servers (it has no interface into the enclosures' blades).

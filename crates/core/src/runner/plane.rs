@@ -3,6 +3,8 @@
 //! standbys of the GM and EMs with their state-sync links and failure
 //! detector.
 
+use std::ops::Range;
+
 use nps_control::{CapperSnapshot, ControllerBank, GroupCapper};
 use nps_metrics::{BudgetLevel, ControllerKind, TelemetryEvent};
 use nps_sim::{
@@ -49,12 +51,12 @@ pub(super) struct Plane {
     pub(super) lease_ticks: u64,
     /// Per-link routing metadata, indexed by `LinkId.0`.
     link_meta: Vec<LinkMeta>,
-    /// Server index → link slot of the grant edge terminating at that
-    /// server (an enclosure member's EM link, a standalone server's GM
-    /// link).
-    pub(super) server_link: Vec<usize>,
-    /// Enclosure index → link slot of the GM→EM grant edge.
-    pub(super) em_link: Vec<usize>,
+    /// Link slots of the GM→EM grant edges, in enclosure order. The
+    /// EM→member links come first, so an enclosure member's link slot is
+    /// its server index: every slot below `em_links.start` is one.
+    pub(super) em_links: Range<usize>,
+    /// Link slots of the GM→standalone grant edges, in server order.
+    pub(super) sa_links: Range<usize>,
     /// Reusable event buffer for bus sends and polls (empty between
     /// batches), so delivering a grant does not allocate.
     bus_events: Vec<BusEvent>,
@@ -111,9 +113,10 @@ pub struct PlaneState {
 impl Plane {
     /// Registers one link per grant edge in a fixed order — EM→member
     /// links per enclosure, then GM→EM links, then GM→standalone links —
-    /// so link ids are stable across runs and checkpoints. Enclosure `e`'s
-    /// members are the servers `enc_offsets[e]..enc_offsets[e + 1]` and
-    /// the standalone servers follow up to `n`.
+    /// so link ids are stable across runs and checkpoints, and each
+    /// grantor's links are one contiguous range. Enclosure `e`'s members
+    /// are the servers `enc_offsets[e]..enc_offsets[e + 1]` and the
+    /// standalone servers follow up to `n`.
     pub(super) fn new(
         bus_cfg: &BusConfig,
         redundancy: &RedundancyConfig,
@@ -127,37 +130,38 @@ impl Plane {
         let num_enclosures = ems.len();
         let flat = enc_offsets[num_enclosures];
         let mut link_meta: Vec<LinkMeta> = Vec::new();
-        let mut server_link = vec![0; n];
-        let mut register = |meta: LinkMeta| {
+        let mut register = |meta: LinkMeta, slot: usize| {
             let link = bus.register_link();
-            debug_assert_eq!(link.0, link_meta.len());
+            assert_eq!(link.0, slot, "grant links are registered contiguously");
             link_meta.push(meta);
-            link.0
         };
         for e in 0..num_enclosures {
             for (k, i) in (enc_offsets[e]..enc_offsets[e + 1]).enumerate() {
-                server_link[i] = register(LinkMeta {
+                let meta = LinkMeta {
                     level: BudgetLevel::Enclosure,
                     child: k,
                     target: GrantTarget::Server(i),
-                });
+                };
+                register(meta, i);
             }
         }
-        let em_link = (0..num_enclosures)
-            .map(|e| {
-                register(LinkMeta {
-                    level: BudgetLevel::Group,
-                    child: e,
-                    target: GrantTarget::Enclosure(e),
-                })
-            })
-            .collect();
-        for (k, i) in (flat..n).enumerate() {
-            server_link[i] = register(LinkMeta {
+        let em_links = flat..flat + num_enclosures;
+        for (e, slot) in em_links.clone().enumerate() {
+            let meta = LinkMeta {
+                level: BudgetLevel::Group,
+                child: e,
+                target: GrantTarget::Enclosure(e),
+            };
+            register(meta, slot);
+        }
+        let sa_links = em_links.end..n + num_enclosures;
+        for (k, slot) in sa_links.clone().enumerate() {
+            let meta = LinkMeta {
                 level: BudgetLevel::Group,
                 child: num_enclosures + k,
-                target: GrantTarget::Server(i),
-            });
+                target: GrantTarget::Server(flat + k),
+            };
+            register(meta, slot);
         }
         // Warm-standby state-sync links, registered after every grant
         // link: the grant slots (and the per-link loss streams keyed on
@@ -196,8 +200,8 @@ impl Plane {
             bus,
             lease_ticks: bus_cfg.lease_ticks,
             link_meta,
-            server_link,
-            em_link,
+            em_links,
+            sa_links,
             bus_events: Vec::new(),
             redundancy,
             replicas: Replicas {
@@ -238,39 +242,66 @@ impl Plane {
     }
 
     /// The single entry point for every downstream budget grant (EM→
-    /// member, GM→EM, GM→standalone): draws the plan-level loss verdict
-    /// from the link's own counter stream (position-independent, so
-    /// every caller — epoch order, thread count, replay — sees the same
-    /// verdict sequence), routes the grant through the bus as a
-    /// sequence-numbered message, and applies what falls due at once, so
-    /// passthrough delivery lands in-place in the telemetry stream.
-    pub(super) fn deliver_grant(
+    /// member, GM→EM, GM→standalone): sends `watts[k]` on grant link
+    /// `links.start + k`, one grantor's contiguous range of links. Each
+    /// grant draws its plan-level loss verdict from the link's own
+    /// counter stream (position-independent, so every caller — epoch
+    /// order, thread count, replay — sees the same verdict sequence) and
+    /// rides the bus as a sequence-numbered message; what falls due at
+    /// once is applied in send order, so passthrough delivery lands
+    /// in place in the telemetry stream.
+    ///
+    /// On a bus that [`delivers_at_once`](ControlBus::delivers_at_once)
+    /// with nothing due, the batch is accepted in place, one
+    /// [`ControlBus::send_at_once`] per grant, with no event buffer. Any
+    /// other bus takes [`ControlBus::send_into`] per grant. Both leave
+    /// the same state, counters and telemetry.
+    pub(super) fn deliver_grants(
         &mut self,
         env: &mut Env,
-        link_slot: usize,
-        watts: f64,
+        links: Range<usize>,
+        watts: &[f64],
         bank: &mut ControllerBank,
         ems: &mut [GroupCapper],
     ) {
+        debug_assert_eq!(links.len(), watts.len());
         let t = env.t;
-        let plan_lost = env.injector.budget_message_lost(link_slot);
-        let mut events = std::mem::take(&mut self.bus_events);
-        let (_seq, enqueued) =
-            self.bus
-                .send_into(LinkId(link_slot), watts, t, plan_lost, &mut events);
-        if !enqueued {
-            // Lost outright — by the plan-level draw or the bus's own
-            // drop model. The child holds its last granted budget (until
-            // its lease, if any, lapses).
-            let LinkMeta { level, child, .. } = self.link_meta[link_slot];
-            env.fstats.messages_lost += 1;
-            env.emit(|| TelemetryEvent::MessageLoss {
-                tick: t,
-                level,
-                child,
-            });
+        if self.bus.delivers_at_once() && self.bus.quiet_at(t) {
+            for (slot, &watts) in links.zip(watts) {
+                let plan_lost = env.injector.budget_message_lost(slot);
+                match self.bus.send_at_once(LinkId(slot), watts, t, plan_lost) {
+                    Some(BusEvent::Delivered(_)) => self.apply_grant(env, slot, watts, bank, ems),
+                    Some(refused) => self.apply_bus_event(env, refused, bank, ems),
+                    None => self.report_loss(env, slot),
+                }
+            }
+            return;
         }
-        self.apply_bus_events(env, events, bank, ems);
+        for (slot, &watts) in links.zip(watts) {
+            let plan_lost = env.injector.budget_message_lost(slot);
+            let mut events = std::mem::take(&mut self.bus_events);
+            let (_seq, enqueued) =
+                self.bus
+                    .send_into(LinkId(slot), watts, t, plan_lost, &mut events);
+            if !enqueued {
+                self.report_loss(env, slot);
+            }
+            self.apply_bus_events(env, events, bank, ems);
+        }
+    }
+
+    /// Counts and reports a grant lost outright — by the plan-level draw
+    /// or the bus's own drop model. The child holds its last granted
+    /// budget (until its lease, if any, lapses).
+    fn report_loss(&self, env: &mut Env, slot: usize) {
+        let t = env.t;
+        let LinkMeta { level, child, .. } = self.link_meta[slot];
+        env.fstats.messages_lost += 1;
+        env.emit(|| TelemetryEvent::MessageLoss {
+            tick: t,
+            level,
+            child,
+        });
     }
 
     /// Polls the bus for traffic deferred from earlier ticks and applies
@@ -286,11 +317,9 @@ impl Plane {
         self.apply_bus_events(env, events, bank, ems);
     }
 
-    /// Applies one batch of bus events in order: fresh grants write the
-    /// receiver's cap (and lease) and emit `BudgetGrant`, duplicates and
-    /// stale copies are
-    /// rejected, retransmissions are counted. `events` is the plane's
-    /// reusable buffer, taken out for the batch (applying an event needs
+    /// Applies one batch of bus events in order (see
+    /// [`Plane::apply_bus_event`]). `events` is the plane's reusable
+    /// buffer, taken out for the batch (applying an event needs
     /// `&mut self`) and handed back empty.
     fn apply_bus_events(
         &mut self,
@@ -299,96 +328,112 @@ impl Plane {
         bank: &mut ControllerBank,
         ems: &mut [GroupCapper],
     ) {
-        let t = env.t;
         for &event in &events {
-            let slot = match &event {
-                BusEvent::Delivered(m) | BusEvent::Duplicate(m) | BusEvent::Exhausted(m) => {
-                    m.link.0
-                }
-                BusEvent::Stale { msg, .. } | BusEvent::Retry { msg, .. } => msg.link.0,
-            };
-            // State-sync traffic feeds the standby replicas, never a
-            // grant target (sync links sit above every grant slot).
-            if slot >= self.sync_base {
-                self.apply_sync_event(slot, &event);
-                continue;
-            }
-            let LinkMeta {
-                level,
-                child,
-                target,
-            } = self.link_meta[slot];
-            match event {
-                BusEvent::Delivered(msg) => {
-                    let watts = msg.watts;
-                    let lease_until = match self.lease_ticks {
-                        0 => u64::MAX,
-                        ticks => t + ticks,
-                    };
-                    match target {
-                        GrantTarget::Server(i) => {
-                            bank.set_granted_cap_leased(i, watts, lease_until)
-                        }
-                        GrantTarget::Enclosure(e) => {
-                            ems[e].set_granted_cap_leased(watts, lease_until)
-                        }
-                    }
-                    env.emit(|| TelemetryEvent::BudgetGrant {
-                        tick: t,
-                        level,
-                        child,
-                        watts,
-                    });
-                }
-                BusEvent::Duplicate(msg) => {
-                    env.fstats.duplicates_dropped += 1;
-                    env.emit(|| TelemetryEvent::DuplicateDropped {
-                        tick: t,
-                        level,
-                        child,
-                        seq: msg.seq,
-                    });
-                }
-                BusEvent::Stale { msg, accepted } => {
-                    env.fstats.stale_rejected += 1;
-                    env.emit(|| TelemetryEvent::StaleRejected {
-                        tick: t,
-                        level,
-                        child,
-                        seq: msg.seq,
-                        accepted,
-                    });
-                }
-                BusEvent::Retry {
-                    msg,
-                    attempt,
-                    dropped,
-                } => {
-                    env.fstats.grant_retries += 1;
-                    env.emit(|| TelemetryEvent::GrantRetry {
-                        tick: t,
-                        level,
-                        child,
-                        seq: msg.seq,
-                        attempt,
-                    });
-                    if dropped {
-                        env.fstats.messages_lost += 1;
-                        env.emit(|| TelemetryEvent::MessageLoss {
-                            tick: t,
-                            level,
-                            child,
-                        });
-                    }
-                }
-                // Retries exhausted: the sender gives up. With leases on,
-                // the receiver's lease lapses back to its static cap; no
-                // extra action here.
-                BusEvent::Exhausted(_) => {}
-            }
+            self.apply_bus_event(env, event, bank, ems);
         }
         events.clear();
         self.bus_events = events;
+    }
+
+    /// Applies one bus event: a fresh grant goes to
+    /// [`Plane::apply_grant`], duplicates and stale copies are rejected,
+    /// retransmissions are counted, and state-sync traffic feeds its
+    /// standby.
+    fn apply_bus_event(
+        &mut self,
+        env: &mut Env,
+        event: BusEvent,
+        bank: &mut ControllerBank,
+        ems: &mut [GroupCapper],
+    ) {
+        let t = env.t;
+        let slot = match &event {
+            BusEvent::Delivered(m) | BusEvent::Duplicate(m) | BusEvent::Exhausted(m) => m.link.0,
+            BusEvent::Stale { msg, .. } | BusEvent::Retry { msg, .. } => msg.link.0,
+        };
+        // State-sync traffic feeds the standby replicas, never a grant
+        // target (sync links sit above every grant slot).
+        if slot >= self.sync_base {
+            self.apply_sync_event(slot, &event);
+            return;
+        }
+        let LinkMeta { level, child, .. } = self.link_meta[slot];
+        match event {
+            BusEvent::Delivered(msg) => self.apply_grant(env, slot, msg.watts, bank, ems),
+            BusEvent::Duplicate(msg) => {
+                env.fstats.duplicates_dropped += 1;
+                env.emit(|| TelemetryEvent::DuplicateDropped {
+                    tick: t,
+                    level,
+                    child,
+                    seq: msg.seq,
+                });
+            }
+            BusEvent::Stale { msg, accepted } => {
+                env.fstats.stale_rejected += 1;
+                env.emit(|| TelemetryEvent::StaleRejected {
+                    tick: t,
+                    level,
+                    child,
+                    seq: msg.seq,
+                    accepted,
+                });
+            }
+            BusEvent::Retry {
+                msg,
+                attempt,
+                dropped,
+            } => {
+                env.fstats.grant_retries += 1;
+                env.emit(|| TelemetryEvent::GrantRetry {
+                    tick: t,
+                    level,
+                    child,
+                    seq: msg.seq,
+                    attempt,
+                });
+                if dropped {
+                    self.report_loss(env, slot);
+                }
+            }
+            // Retries exhausted: the sender gives up. With leases on,
+            // the receiver's lease lapses back to its static cap; no
+            // extra action here.
+            BusEvent::Exhausted(_) => {}
+        }
+    }
+
+    /// Applies a grant the receiver on grant link `slot` accepted: writes
+    /// the receiver's cap (and lease) and emits `BudgetGrant`.
+    #[inline]
+    fn apply_grant(
+        &self,
+        env: &mut Env,
+        slot: usize,
+        watts: f64,
+        bank: &mut ControllerBank,
+        ems: &mut [GroupCapper],
+    ) {
+        let t = env.t;
+        let LinkMeta {
+            level,
+            child,
+            target,
+        } = self.link_meta[slot];
+        let lease_until = match self.lease_ticks {
+            0 => u64::MAX,
+            ticks => t + ticks,
+        };
+        match target {
+            GrantTarget::Server(i) => bank.set_granted_cap_leased(i, watts, lease_until),
+            GrantTarget::Enclosure(e) => ems[e].set_granted_cap_leased(watts, lease_until),
+        }
+        env.emit(|| TelemetryEvent::BudgetGrant {
+            tick: t,
+            level,
+            child,
+            watts,
+        });
     }
 
     /// Reverts every lapsed lease to its static cap, with telemetry.
@@ -399,12 +444,13 @@ impl Plane {
         ems: &mut [GroupCapper],
     ) {
         let t = env.t;
-        for (i, &slot) in self.server_link.iter().enumerate() {
+        let server_links = (0..self.em_links.start).chain(self.sa_links.clone());
+        for (i, slot) in server_links.enumerate() {
             if bank.expire_lease(i, t) {
                 self.report_lease_expiry(env, slot);
             }
         }
-        for (em, &slot) in ems.iter_mut().zip(&self.em_link) {
+        for (em, slot) in ems.iter_mut().zip(self.em_links.clone()) {
             if em.expire_lease(t) {
                 self.report_lease_expiry(env, slot);
             }

@@ -44,6 +44,10 @@
 //! `send` then `poll_into` at the send tick, and when nothing earlier is
 //! due it hands the copies (and acks) due that tick straight to the
 //! receiver in uid order, so a zero-delay grant costs no heap push or pop.
+//! A bus that [delivers at once](ControlBus::delivers_at_once) (a
+//! passthrough with retries off) also takes [`ControlBus::send_at_once`],
+//! the same due-now step with no event buffer, so a sender can push a
+//! whole batch of grants through a quiet bus in place.
 //!
 //! The per-grant path allocates nothing in steady state:
 //! [`ControlBus::poll_into`] and [`ControlBus::send_into`] write into a
@@ -378,7 +382,8 @@ pub struct LinkState {
 /// The deterministic control-plane bus.
 ///
 /// The owner registers links with [`ControlBus::register_link`], routes
-/// every grant through [`ControlBus::send_into`] (or [`ControlBus::send`]),
+/// every grant through [`ControlBus::send_into`] (or [`ControlBus::send`],
+/// or [`ControlBus::send_at_once`] where the bus delivers at once),
 /// and calls [`ControlBus::poll_into`] to collect due deliveries,
 /// duplicate/stale rejections, and retransmissions. With the default
 /// passthrough config, `send_into` behaves exactly like a direct write.
@@ -511,7 +516,7 @@ impl ControlBus {
     /// When nothing queued and no retransmission timer is due by `now`,
     /// the copies this send makes due at `now` are the first (and, with
     /// their acks, the only) traffic the poll would pop, in uid order. They
-    /// are delivered here without touching the heap: each copy and ack
+    /// are received here without touching the heap: each copy and ack
     /// still takes its uid, so `next_uid`, `accepted_seq` and the pending
     /// retry state end where the queued path leaves them. Copies due later
     /// are queued as usual. A bus with earlier traffic due takes the
@@ -537,15 +542,17 @@ impl ControlBus {
         let Some((first, duplicate)) = self.draw_copies(now) else {
             return (seq, false);
         };
-        // Uids in send order: the first copy, then the duplicate.
-        let mut due = usize::from(self.hold_copy(first, link, seq, watts, now));
-        if let Some(at) = duplicate {
-            due += usize::from(self.hold_copy(at, link, seq, watts, now));
-        }
-        // The queued path pops every due copy before the acks they spawn
-        // (the acks' uids are larger), so receive first, then ack.
-        for _ in 0..due {
-            self.receive_grant(link, seq, watts, events);
+        // Uids in send order: the first copy, then the duplicate. The
+        // queued path pops every due copy before the acks they spawn (the
+        // acks' uids are larger), so receive first, then ack.
+        let mut due = 0;
+        for at in std::iter::once(first).chain(duplicate) {
+            if at > now {
+                self.enqueue(at, link, false, seq, watts);
+            } else {
+                events.push(self.accept_due(link, seq, watts));
+                due += 1;
+            }
         }
         if self.cfg.retry.enabled() {
             for _ in 0..due {
@@ -563,17 +570,44 @@ impl ControlBus {
         (seq, true)
     }
 
-    /// Gives one grant copy of [`ControlBus::send_into`] its uid: a copy
-    /// due after `now` is queued, a copy due at `now` only takes the uid
-    /// and is reported (`true`) for delivery at once.
+    /// Whether every grant falls due at its send tick as one copy and is
+    /// never retried: a passthrough bus (no delay, jitter, drop,
+    /// duplication or reordering) with retries off. A property of the
+    /// config, fixed when the bus is built.
     #[inline]
-    fn hold_copy(&mut self, deliver_at: u64, link: usize, seq: u64, watts: f64, now: u64) -> bool {
-        if deliver_at > now {
-            self.enqueue(deliver_at, link, false, seq, watts);
-            return false;
-        }
+    pub fn delivers_at_once(&self) -> bool {
+        self.cfg.is_passthrough() && !self.cfg.retry.enabled()
+    }
+
+    /// [`ControlBus::send_into`] for a bus that
+    /// [`delivers_at_once`](ControlBus::delivers_at_once) and is
+    /// [`quiet_at`](ControlBus::quiet_at) `now`, with no event buffer:
+    /// the grant takes its sequence number and, unless `plan_lost`, its
+    /// uid, and the receiver judges it in place. Returns the receiver's
+    /// verdict (`Delivered` unless restored state says otherwise), or
+    /// `None` for a lost grant. A sender that checks both conditions once
+    /// may send a whole batch this way: such a send queues nothing and
+    /// arms no timer, so the bus stays quiet.
+    #[inline]
+    pub fn send_at_once(
+        &mut self,
+        link: LinkId,
+        watts: f64,
+        now: u64,
+        plan_lost: bool,
+    ) -> Option<BusEvent> {
+        debug_assert!(self.delivers_at_once() && self.quiet_at(now));
+        let seq = self.next_grant(link.0, watts, now);
+        (!plan_lost).then(|| self.accept_due(link.0, seq, watts))
+    }
+
+    /// One grant copy due at its send tick: it takes its uid and the
+    /// receiver judges it at once. The due-now step shared by
+    /// [`ControlBus::send_into`] and [`ControlBus::send_at_once`].
+    #[inline]
+    fn accept_due(&mut self, link: usize, seq: u64, watts: f64) -> BusEvent {
         self.next_uid += 1;
-        true
+        self.receive_grant(link, seq, watts)
     }
 
     /// The queued path of [`ControlBus::send_into`], kept out of line so
@@ -596,7 +630,7 @@ impl ControlBus {
     /// stale) is due at or before `now`, so a poll at `now` would find
     /// nothing to do.
     #[inline]
-    fn quiet_at(&self, now: u64) -> bool {
+    pub fn quiet_at(&self, now: u64) -> bool {
         let queue_due =
             matches!(self.queue.peek(), Some(Reverse(QueueEntry(m))) if m.deliver_at <= now);
         let timer_due = matches!(self.retry_timers.peek(), Some(&Reverse((at, _))) if at <= now);
@@ -747,7 +781,7 @@ impl ControlBus {
                 self.receive_ack(msg.link, msg.seq);
                 continue;
             }
-            self.receive_grant(msg.link, msg.seq, msg.watts.0, events);
+            events.push(self.receive_grant(msg.link, msg.seq, msg.watts.0));
             // With retries on, every delivery is acknowledged (duplicates
             // and stale copies too: the ack names the copy's own sequence
             // number, and the sender ignores acks for anything but its
@@ -766,7 +800,7 @@ impl ControlBus {
     /// Receiver side of one grant copy: accepts a fresh sequence number,
     /// rejects a duplicate or an overtaken one, and reports which.
     #[inline]
-    fn receive_grant(&mut self, link: usize, seq: u64, watts: f64, events: &mut Vec<BusEvent>) {
+    fn receive_grant(&mut self, link: usize, seq: u64, watts: f64) -> BusEvent {
         let grant = GrantMsg {
             link: LinkId(link),
             seq,
@@ -775,14 +809,14 @@ impl ControlBus {
         let accepted = self.links[link].accepted_seq;
         if seq > accepted {
             self.links[link].accepted_seq = seq;
-            events.push(BusEvent::Delivered(grant));
+            BusEvent::Delivered(grant)
         } else if seq == accepted {
-            events.push(BusEvent::Duplicate(grant));
+            BusEvent::Duplicate(grant)
         } else {
-            events.push(BusEvent::Stale {
+            BusEvent::Stale {
                 msg: grant,
                 accepted,
-            });
+            }
         }
     }
 

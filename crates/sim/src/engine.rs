@@ -58,6 +58,9 @@ pub struct Simulation {
     written: Vec<bool>,
     /// Last-tick per-VM observations (checkpointed as flat words).
     vm_obs: Vec<VmObservation>,
+    /// Per-VM "already listed" flags of [`Simulation::fits`]' resident
+    /// check. Pure scratch, kept so a restore allocates nothing.
+    listed: Vec<bool>,
     /// Per-server capacity share of the step in progress, written by the
     /// shards of [`Simulation::step_sharded`] and read by its per-VM
     /// pass. Pure scratch: overwritten every step, never snapshotted.
@@ -154,6 +157,7 @@ impl Simulation {
             },
             written: vec![false; n],
             vm_obs: vec![VmObservation::default(); num_vms],
+            listed: vec![false; num_vms],
             scratch_share: vec![0.0; n],
             scratch_enc_sums: vec![0.0; num_enclosures],
         })
@@ -657,8 +661,9 @@ impl Simulation {
     /// resident lists that match the placement (each VM listed once, on
     /// its host). [`Simulation::restore`] replaces its arrays wholesale,
     /// so a snapshot that fails this would otherwise drop or keep a tail
-    /// silently, or panic many ticks later.
-    pub(crate) fn fits(&self, snap: &SimSnapshot) -> Result<()> {
+    /// silently, or panic many ticks later. Only the `listed` scratch is
+    /// written.
+    fn fits(&mut self, snap: &SimSnapshot) -> Result<()> {
         let servers = self.topo.num_servers();
         let vms = self.num_vms();
         let thermal_servers = self.state.thermal.as_ref().map_or(0, |_| servers);
@@ -705,7 +710,9 @@ impl Simulation {
         {
             return entry("state.placement.host", vm.index());
         }
-        let mut listed = vec![false; vms];
+        let listed = &mut self.listed;
+        listed.clear();
+        listed.resize(vms, false);
         for (s, list) in st.residents.iter().enumerate() {
             for &vm in list.iter() {
                 let j = vm.index();
@@ -736,15 +743,13 @@ impl Simulation {
         self.state.clone_from(&snap.state);
         self.act.clone_from(&snap.act);
         self.written.fill(false);
-        self.vm_obs = snap
-            .vm_obs
-            .chunks_exact(3)
-            .map(|c| VmObservation {
+        self.vm_obs.clear();
+        self.vm_obs
+            .extend(snap.vm_obs.chunks_exact(3).map(|c| VmObservation {
                 demand: c[0],
                 granted: c[1],
                 delivered: c[2],
-            })
-            .collect();
+            }));
         Ok(())
     }
 }
@@ -950,8 +955,9 @@ impl ActuatorShard<'_> {
 
 /// The simulator's checkpointed state but its actuators, kept whole by
 /// [`Simulation`]: floats as IEEE-754 bit words, VM ids as their
-/// indices.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+/// indices. `clone_from` reuses every buffer, so a restore allocates
+/// nothing while each resident list fits its live capacity.
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SimState {
     /// The `X` matrix.
     pub placement: Placement,
@@ -987,9 +993,27 @@ pub struct SimState {
     pub thermal: Option<ThermalState>,
 }
 
+clone_in_place!(SimState {
+    placement,
+    residents,
+    on,
+    mig_until,
+    boot_until,
+    tick,
+    util,
+    power,
+    cum_power,
+    cum_enc_power,
+    cum_util,
+    cum_delivered,
+    cum_demand,
+    migrations_started,
+    thermal,
+});
+
 /// The simulator's P-state actuators, kept whole by [`Simulation`]
 /// beside its [`SimState`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Actuators {
     /// Per-server P-states, as their indices.
     pub pstate: PStates,
@@ -997,6 +1021,8 @@ pub struct Actuators {
     /// struggle" signature of uncoordinated deployments.
     pub conflicts: u64,
 }
+
+clone_in_place!(Actuators { pstate, conflicts });
 
 /// The simulator's full dynamic state (checkpoint section).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]

@@ -44,6 +44,28 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+/// Implements `Clone` field by field, with a `clone_from` that calls each
+/// field's own `clone_from`, so restoring into a live value reuses every
+/// buffer it holds (the derived `clone_from` clones whole and drops the
+/// old value). Naming every field in a struct literal and in a pattern
+/// makes a field added later a compile error here.
+macro_rules! clone_in_place {
+    ($name:ident { $($field:ident),* $(,)? }) => {
+        impl Clone for $name {
+            fn clone(&self) -> Self {
+                Self {
+                    $($field: self.$field.clone()),*
+                }
+            }
+
+            fn clone_from(&mut self, source: &Self) {
+                let Self { $($field),* } = source;
+                $(self.$field.clone_from($field);)*
+            }
+        }
+    };
+}
+
 pub mod bus;
 mod config;
 pub mod cooling;

@@ -7,10 +7,12 @@ use serde::{Deserialize, Serialize};
 use crate::ids::{ServerId, VmId};
 
 /// A complete assignment of every VM to exactly one server.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Placement {
     host: Vec<ServerId>,
 }
+
+clone_in_place!(Placement { host });
 
 /// One VM move produced by diffing two placements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

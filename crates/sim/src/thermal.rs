@@ -60,13 +60,20 @@ impl ThermalConfig {
 }
 
 /// Evolving thermal state for a fleet of servers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct ThermalState {
     config: ThermalConfig,
     temps_c: Vec<f64>,
     failed: Vec<bool>,
     failover_events: usize,
 }
+
+clone_in_place!(ThermalState {
+    config,
+    temps_c,
+    failed,
+    failover_events,
+});
 
 impl ThermalState {
     /// Starts all `n` servers at ambient temperature.

@@ -13,9 +13,20 @@ use std::ops::{Deref, DerefMut};
 use crate::bus::{LinkState, Pending};
 use crate::ids::VmId;
 
-/// Derefs a one-`Vec` newtype to its `Vec`.
+/// Derefs a one-`Vec` newtype to its `Vec`, and clones it through the
+/// `Vec`, whose `clone_from` reuses the target's buffer.
 macro_rules! deref_vec {
     ($name:ident($elem:ty)) => {
+        impl Clone for $name {
+            fn clone(&self) -> Self {
+                Self(self.0.clone())
+            }
+
+            fn clone_from(&mut self, source: &Self) {
+                self.0.clone_from(&source.0);
+            }
+        }
+
         impl Deref for $name {
             type Target = Vec<$elem>;
             fn deref(&self) -> &Vec<$elem> {
@@ -38,7 +49,7 @@ macro_rules! deref_vec {
 macro_rules! word_array {
     ($(#[$doc:meta])* $name:ident($elem:ty), $to_word:expr, $from_word:expr) => {
         $(#[$doc])*
-        #[derive(Debug, Clone, Default)]
+        #[derive(Debug, Default)]
         pub struct $name(pub Vec<$elem>);
 
         deref_vec!($name($elem));
@@ -91,7 +102,7 @@ word_array!(
 
 /// One server's resident VMs in insertion order ([`ResidentLists`]
 /// checkpoints every server's list).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct VmIds(pub Vec<VmId>);
 
 deref_vec!(VmIds(VmId));
@@ -101,7 +112,7 @@ deref_vec!(VmIds(VmId));
 /// `pending`, one `[link, seq, watts bits, attempts, next_retry_at]`
 /// record per link with an unacknowledged grant, in ascending link
 /// order.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct LinkStates(pub Vec<LinkState>);
 
 deref_vec!(LinkStates(LinkState));
@@ -199,7 +210,7 @@ impl Deserialize for LinkStates {
 /// Per-server resident VM lists that checkpoint as CSR words: `len`, one
 /// count per server, and `vms`, every list concatenated in server order
 /// with each list's insertion order kept.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct ResidentLists(pub Vec<VmIds>);
 
 deref_vec!(ResidentLists(VmIds));

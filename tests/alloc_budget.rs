@@ -3,10 +3,11 @@
 //! Once the first EM and GM epochs have sized the runner's scratch
 //! buffers, a coordinated tick must not touch the heap at all: base, SM,
 //! EM and GM ticks each allocate nothing. The group cappers reallocate
-//! into a reused budget buffer, grants ride the bus through a reused
-//! event buffer (delivered at send time on a zero-delay bus), and the
+//! into a reused budget buffer, grants are accepted in place on a
+//! passthrough bus and ride a reused event buffer on any other, and the
 //! tree reductions fold into stack buffers, so a regression in any of
-//! them shows up here as a nonzero count.
+//! them shows up here as a nonzero count. A restore into a live
+//! simulator allocates nothing either.
 //!
 //! The counting allocator delegates to [`System`] and counts only on a
 //! thread that has switched counting on, so other tests running in
@@ -175,4 +176,36 @@ fn faulty_capped_ticks_stay_within_the_allocation_budget() {
     let stats = runner.run_to_horizon();
     assert!(stats.pstate_conflicts > 10_000, "{stats:?}");
     assert!(runner.fault_stats().actuator_blocked > 0);
+}
+
+/// `Simulation::restore` rewrites the simulator's state in place: after a
+/// snapshot, a few steps and a migration, restoring the snapshot into
+/// the same simulator allocates nothing. Three VMs share each server and
+/// temperatures are tracked, so every array, every resident list and the
+/// thermal state are rewritten.
+#[test]
+fn restore_into_the_same_simulator_allocates_nothing() {
+    let topo = Topology::builder().enclosures(2, 10).standalone(20).build();
+    let n = topo.num_servers();
+    let traces: Vec<UtilTrace> = Corpus::enterprise(3 * n, 7)
+        .into_traces()
+        .into_iter()
+        .take(3 * n)
+        .collect();
+    let cfg = SimConfig {
+        thermal: Some(ThermalConfig::for_budget(250.0, 200.0)),
+        ..SimConfig::default()
+    };
+    let mut sim = Simulation::new(topo, ServerModel::blade_a(), traces, cfg).expect("valid sim");
+    sim.run(25);
+    let snap = sim.snapshot();
+    sim.run(3);
+    sim.migrate(VmId(0), ServerId(n - 1)).expect("valid move");
+    sim.set_pstate(ServerId(1), PState(2));
+    sim.step();
+    let mut restored = Ok(());
+    let allocs = allocations_in(|| restored = sim.restore(&snap));
+    restored.expect("the simulator's own snapshot fits");
+    assert_eq!(allocs, 0, "restore made {allocs} heap allocations");
+    assert_eq!(sim.snapshot(), snap);
 }

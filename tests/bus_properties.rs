@@ -3,7 +3,8 @@
 //! arbitrary delay/reorder/duplicate/drop schedules, lease expiry must
 //! never leave a grant dangling above the static cap, and a zero-fault
 //! zero-delay bus must be bit-identical to the direct-write passthrough
-//! path. `send_into` must equal `send` followed by `poll_into`.
+//! path. `send_into`, and `send_at_once` where it applies, must equal
+//! `send` followed by `poll_into`.
 
 use no_power_struggles::prelude::*;
 use proptest::prelude::*;
@@ -371,7 +372,10 @@ proptest! {
     /// the other through `send` + `poll_into` — and after every step they
     /// must report the same events and verdicts and hold the same state.
     /// Zero base delay, zero jitter and retries are drawn often, so both
-    /// the due-now delivery and the queued path run.
+    /// the due-now delivery and the queued path run. Half the cases run a
+    /// passthrough bus (`shape` 2 with the drawn retries, 3 with retries
+    /// off); where that bus delivers at once and is quiet, the direct
+    /// side sends through `send_at_once`, the runner's batch accept.
     #[test]
     fn send_into_matches_send_then_poll(
         delay_raw in 0u64..5,
@@ -385,9 +389,10 @@ proptest! {
         retry_jitter in 0u64..2,
         lease in 0u64..20,
         seed in 0u64..1_000,
+        shape in 0u8..4,
         steps in prop::collection::vec((0u8..7, 0usize..NUM_LINKS, 0u8..8), 1..160),
     ) {
-        let cfg = BusConfig::default()
+        let mut cfg = BusConfig::default()
             .with_seed(seed)
             .with_delay(delay_raw.saturating_sub(2), jitter_raw.saturating_sub(1))
             .with_drop(drop)
@@ -400,6 +405,15 @@ proptest! {
                 backoff_max_ticks: 8,
                 jitter_ticks: retry_jitter,
             });
+        if shape >= 2 {
+            cfg = BusConfig {
+                retry: cfg.retry,
+                ..BusConfig::passthrough().with_seed(seed).with_leases(lease)
+            };
+        }
+        if shape == 3 {
+            cfg.retry.max_attempts = 0;
+        }
         let mut direct = ControlBus::new(&cfg);
         let mut queued = ControlBus::new(&cfg);
         for _ in 0..NUM_LINKS {
@@ -424,7 +438,14 @@ proptest! {
                 0..=3 => {
                     let watts = 100.0 + step as f64;
                     let plan_lost = draw == 0;
-                    let a = direct.send_into(LinkId(link), watts, now, plan_lost, &mut ea);
+                    let a = if direct.delivers_at_once() && direct.quiet_at(now) {
+                        let accepted = direct.send_at_once(LinkId(link), watts, now, plan_lost);
+                        ea.clear();
+                        ea.extend(accepted);
+                        (direct.snapshot().links[link].next_seq, accepted.is_some())
+                    } else {
+                        direct.send_into(LinkId(link), watts, now, plan_lost, &mut ea)
+                    };
                     let b = queued.send(LinkId(link), watts, now, plan_lost);
                     queued.poll_into(now, &mut eb);
                     prop_assert_eq!(a, b, "send verdicts diverged at step {}", step);

@@ -151,6 +151,48 @@ fn kill_and_resume_is_bit_exact_on_the_default_path() {
     }
 }
 
+/// On a bus that delivers every grant at once (passthrough, retries
+/// off) the bus state is fixed by the epochs alone: each grant link's
+/// `next_seq` and `accepted_seq` equal the epochs its sender ran, each
+/// grant took one uid, and nothing is pending or queued. The pinned
+/// checkpoint text runs a faulty bus, so this pins the at-once path.
+#[test]
+fn passthrough_bus_counters_follow_the_epochs() {
+    let cfg = quiet_config();
+    assert!(cfg.bus.is_passthrough() && !cfg.bus.retry.enabled());
+    let iv = cfg.intervals;
+    let ticks = 7 * iv.em + 5;
+    let mut runner = Runner::new(&cfg);
+    for _ in 0..ticks {
+        runner.tick();
+    }
+    let snap = runner.snapshot();
+    // Controllers first act at tick 1, so an epoch runs at every
+    // positive multiple of its interval below `ticks`.
+    let (em_epochs, gm_epochs) = ((ticks - 1) / iv.em, (ticks - 1) / iv.gm);
+    assert!(em_epochs >= 3 && gm_epochs >= 3, "{em_epochs} {gm_epochs}");
+    let topo = &cfg.topology;
+    let (servers, encs) = (topo.num_servers(), topo.num_enclosures());
+    let members = servers - topo.standalone_servers().len();
+    assert!(members > 0);
+    // Link order: every EM→member link, then the GM→EM links, then the
+    // GM→standalone links.
+    let bus = &snap.plane.bus;
+    assert_eq!(bus.links.len(), servers + encs);
+    for (slot, link) in bus.links.iter().enumerate() {
+        let sent = if slot < members { em_epochs } else { gm_epochs };
+        assert_eq!(link.next_seq, sent, "next_seq of link {slot}");
+        assert_eq!(link.accepted_seq, sent, "accepted_seq of link {slot}");
+        assert!(link.pending.is_none(), "link {slot} has a pending grant");
+    }
+    let gm_links = (servers + encs - members) as u64;
+    assert_eq!(
+        bus.next_uid,
+        members as u64 * em_epochs + gm_links * gm_epochs
+    );
+    assert!(bus.queue.is_empty(), "{:?}", bus.queue);
+}
+
 #[test]
 fn kill_and_resume_is_bit_exact_with_an_electrical_cap() {
     // The clamp deepens controller writes within a tick, so the run
